@@ -1,0 +1,1 @@
+"""Repository benchmark for the extraction engine; see README.md."""
