@@ -2335,21 +2335,6 @@ def _q_cluster_safe_split(sf_dir: str):
     )
 
 
-def _q_dup_clusters_indexed(sf_dir: str):
-    """Same clusters and oracle as `dup_clusters`, with the
-    label-propagation running on the actor-sharded adjacency index —
-    the symmetrized pair list is exchanged ONCE into shard CSRs and
-    each round ships only per-dst min-label partials (60x measured vs
-    the per-round cogroup on a 2k-node random graph)."""
-    from pdf_extractor_ray.functions.dedup import minhash_dedup_pairs
-    from pdf_extractor_ray.functions.graph_indexed import (
-        connected_components_indexed,
-    )
-
-    pairs = minhash_dedup_pairs(_docs_with_dups(sf_dir), threshold=0.8)
-    return connected_components_indexed(pairs)
-
-
 def _q_cosine_pairs(sf_dir: str):
     """Exact all-pairs TF-IDF cosine join (AllPairs family): every doc
     pair with cosine >= 0.5 over 3-gram terms with df in [2,20] —
@@ -2386,12 +2371,10 @@ def _q_cluster_size_hist(sf_dir: str):
     counts -> counts per size. Both rollups are narrow exchanges."""
     from ray.data.aggregate import Count as _Count
     from pdf_extractor_ray.functions.dedup import minhash_dedup_pairs
-    from pdf_extractor_ray.functions.graph_indexed import (
-        connected_components_indexed,
-    )
+    from pdf_extractor_ray.functions.graph import connected_components
 
     pairs = minhash_dedup_pairs(_docs_with_dups(sf_dir), threshold=0.8)
-    clusters = connected_components_indexed(pairs)
+    clusters = connected_components(pairs)
     sizes = clusters.groupby("cluster_id").aggregate(
         _Count(alias_name="size")
     )
@@ -3330,36 +3313,6 @@ def _q_triangles(sf_dir: str):
     return triangle_count(docs.map_batches(mk_edges, batch_format="pyarrow"))
 
 
-def _q_triangles_indexed(sf_dir: str):
-    """Same exact triangle count on the actor-sharded index: the edge
-    set is exchanged ONCE (vs ~7 coarse-bucket exchanges for the
-    Dataset-algebra engine); degrees, orientation, wedges and the
-    closing-edge probe run shard-local with only neighbor-degree ids
-    and the O(m^1.5) wedge stream moving actor-to-actor. Gated against
-    the very same SQL replay as `triangles`."""
-    from pdf_extractor_ray.functions.graph_indexed import (
-        triangle_count_indexed,
-    )
-
-    docs = ray.data.read_parquet(_t(sf_dir, "documents"), columns=["doc_id"])
-    n = docs.count()  # parquet metadata only
-
-    def mk_edges(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src = np.repeat(ids, 3)
-        dst = np.stack(
-            [(ids * 7 + 1) % n, (ids * 13 + 2) % n, (ids * 31 + 3) % n],
-            axis=1,
-        ).reshape(-1)
-        df = pd.DataFrame({"src": src, "dst": dst})
-        df = df[df["src"] != df["dst"]].drop_duplicates()
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    return triangle_count_indexed(
-        docs.map_batches(mk_edges, batch_format="pyarrow")
-    )
-
-
 def _q_random_walks(sf_dir: str):
     """Deterministic DeepWalk corpus over the affine 3-out-link graph
     (same graph as `pagerank`/`triangles`): 2 walks per source node,
@@ -3367,9 +3320,7 @@ def _q_random_walks(sf_dir: str):
     outdeg over ascending-ranked outlinks — exactly replayed by the
     oracle's recursive CTE. Edge set exchanged once into shard
     actors; each round moves only live walk-state triples."""
-    from pdf_extractor_ray.functions.graph_indexed import (
-        random_walks_indexed,
-    )
+    from pdf_extractor_ray.functions.graph import random_walks
 
     docs = ray.data.read_parquet(_t(sf_dir, "documents"), columns=["doc_id"])
     n = docs.count()  # parquet metadata only
@@ -3384,7 +3335,7 @@ def _q_random_walks(sf_dir: str):
         keep = src != dst
         return pa.table({"src": src[keep], "dst": dst[keep]})
 
-    return random_walks_indexed(
+    return random_walks(
         docs.map_batches(mk_edges, batch_format="pyarrow"),
         walk_len=6,
         walks_per_node=2,
@@ -3396,10 +3347,7 @@ def _q_walk_skipgrams(sf_dir: str):
     skip-gram (center, context) counts with window 2 over the same
     deterministic walks as `random_walks` — one walk-bucket exchange
     (pairs pre-aggregated in bucket) + one pair-bucket sum."""
-    from pdf_extractor_ray.functions.graph import skipgram_pairs
-    from pdf_extractor_ray.functions.graph_indexed import (
-        random_walks_indexed,
-    )
+    from pdf_extractor_ray.functions.graph import random_walks, skipgram_pairs
 
     docs = ray.data.read_parquet(_t(sf_dir, "documents"), columns=["doc_id"])
     n = docs.count()  # parquet metadata only
@@ -3414,7 +3362,7 @@ def _q_walk_skipgrams(sf_dir: str):
         keep = src != dst
         return pa.table({"src": src[keep], "dst": dst[keep]})
 
-    walks = random_walks_indexed(
+    walks = random_walks(
         docs.map_batches(mk_edges, batch_format="pyarrow"),
         walk_len=6,
         walks_per_node=2,
@@ -3428,7 +3376,7 @@ def _q_mis(sf_dir: str):
     batch). Priorities are pure (node, round) md5 functions computed
     shard-local; each round exchanges only the death set (every node
     dies exactly once across all rounds)."""
-    from pdf_extractor_ray.functions.graph_indexed import mis_indexed
+    from pdf_extractor_ray.functions.graph import mis
 
     docs = ray.data.read_parquet(_t(sf_dir, "documents"), columns=["doc_id"])
     n = docs.count()  # parquet metadata only
@@ -3443,7 +3391,7 @@ def _q_mis(sf_dir: str):
         keep = src != dst
         return pa.table({"src": src[keep], "dst": dst[keep]})
 
-    return mis_indexed(
+    return mis(
         docs.map_batches(mk_edges, batch_format="pyarrow"), max_rounds=8
     )
 
@@ -3454,9 +3402,7 @@ def _q_lpa_communities(sf_dir: str):
     sub-communities; the oracle replays each round with a chained
     count + row_number CTE. One direct-push edge exchange; rounds
     ship pre-aggregated (dst, label, count) partials."""
-    from pdf_extractor_ray.functions.graph_indexed import (
-        lpa_communities_indexed,
-    )
+    from pdf_extractor_ray.functions.graph import lpa_communities
 
     docs = ray.data.read_parquet(_t(sf_dir, "documents"), columns=["doc_id"])
     n = docs.count()  # parquet metadata only
@@ -3471,7 +3417,7 @@ def _q_lpa_communities(sf_dir: str):
         keep = src != dst
         return pa.table({"src": src[keep], "dst": dst[keep]})
 
-    return lpa_communities_indexed(
+    return lpa_communities(
         docs.map_batches(mk_edges, batch_format="pyarrow"), n_iters=3
     )
 
@@ -3541,8 +3487,9 @@ def _q_cocitation(sf_dir: str):
 def _q_bfs_hops(sf_dir: str):
     """Multi-source BFS over the affine 3-out-link web graph: hop
     distance (<=4) from the seed set {doc_id % 97 == 0}, reported as a
-    hop-count histogram. Level-synchronous frontier expansion, two
-    bucket cogroups per level; the driver sees one scalar per level.
+    hop-count histogram. Level-synchronous frontier expansion on the
+    shard index (one edge exchange total); the driver sees one count
+    per shard per level.
     Oracle: recursive CTE with min-hop fold."""
     from pdf_extractor_ray.functions.graph import bfs_hops
 
@@ -3876,8 +3823,9 @@ def _q_profile(sf_dir: str):
 def _q_kcore(sf_dir: str):
     """6-core of a nucleus+periphery synthetic web graph (dense
     affine nucleus on the lowest 10% of ids + a tree periphery that
-    peels away over ~4 cascade rounds). Each round is three bucket
-    cogroups; the driver sees one survivor-count scalar per round."""
+    peels away over ~4 cascade rounds). The edge set is exchanged
+    once into shard actors; each round moves only death-decrement
+    partials and the driver sees one death count per shard."""
     from pdf_extractor_ray.functions.graph import k_core
 
     docs = ray.data.read_parquet(_t(sf_dir, "documents"), columns=["doc_id"])
@@ -3899,37 +3847,6 @@ def _q_kcore(sf_dir: str):
         return pa.table({"src": s[keep], "dst": d[keep]})
 
     return k_core(docs.map_batches(mk_edges, batch_format="pyarrow"), k=6)
-
-
-def _q_kcore_indexed(sf_dir: str):
-    """Same 6-core, same graph and oracle, on the shard index: the
-    edge set is exchanged ONCE into shard actors (vs three
-    corpus-sized cogroups PER peel round); each round moves only the
-    death-decrement partials, whose total volume across all rounds is
-    bounded by one pass over the edges."""
-    from pdf_extractor_ray.functions.graph_indexed import k_core_indexed
-
-    docs = ray.data.read_parquet(_t(sf_dir, "documents"), columns=["doc_id"])
-    n = docs.count()  # parquet metadata only
-    m = max(n // 10, 10)
-
-    def mk_edges(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        tree = ids[ids >= 1]
-        src = [np.concatenate([tree, tree])]
-        dst = [np.concatenate([tree // 2, tree // 3])]
-        nuc = ids[ids < m]
-        for a, b in ((7, 1), (13, 2), (31, 3), (17, 5), (23, 7)):
-            src.append(nuc)
-            dst.append((nuc * a + b) % m)
-        s = np.concatenate(src)
-        d = np.concatenate(dst)
-        keep = s != d
-        return pa.table({"src": s[keep], "dst": d[keep]})
-
-    return k_core_indexed(
-        docs.map_batches(mk_edges, batch_format="pyarrow"), k=6
-    )
 
 
 def _q_vocab_drift(sf_dir: str):
@@ -6758,8 +6675,9 @@ def _q_pagerank(sf_dir: str):
     duplicate edges removed — both sides derive the same graph). Five
     damped iterations in exact integer micro-units (floor division
     everywhere), so the SQL oracle replays each iteration bit for bit
-    through chained CTEs. The operator itself is two coarse-bucket
-    cogroup exchanges per iteration; the driver holds nothing."""
+    through chained CTEs. On the shard index an iteration exchanges
+    only (dst, contribution) partial arrays; the driver holds
+    nothing."""
     from pdf_extractor_ray.functions.graph import pagerank
 
     docs = ray.data.read_parquet(_t(sf_dir, "documents"), columns=["doc_id"])
@@ -6780,43 +6698,15 @@ def _q_pagerank(sf_dir: str):
     return pagerank(edges, docs, n_iters=5, damping_pct=85)
 
 
-def _q_pagerank_indexed(sf_dir: str):
-    """Same PageRank semantics and oracle as `pagerank`, on the
-    actor-sharded adjacency index: ranks/outdeg/adjacency co-located
-    per shard, so an iteration exchanges only (dst, contribution)
-    partial arrays — and the whole iteration chain is submitted with
-    zero driver-side ray.get (actor-serial ordering is the barrier).
-    Equivalence with the cogroup engine is bit-exact (pinned in
-    tests/test_graph_indexed.py)."""
-    from pdf_extractor_ray.functions.graph_indexed import pagerank_indexed
-
-    docs = ray.data.read_parquet(_t(sf_dir, "documents"), columns=["doc_id"])
-    n = docs.count()  # parquet metadata only
-
-    def mk_edges(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src = np.repeat(ids, 3)
-        dst = np.stack(
-            [(ids * 7 + 1) % n, (ids * 13 + 2) % n, (ids * 31 + 3) % n],
-            axis=1,
-        ).reshape(-1)
-        df = pd.DataFrame({"src": src, "dst": dst})
-        df = df[df["src"] != df["dst"]].drop_duplicates()
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    edges = docs.map_batches(mk_edges, batch_format="pyarrow")
-    return pagerank_indexed(edges, docs, n_iters=5, damping_pct=85)
-
-
 def _q_pagerank_personalized(sf_dir: str):
     """Personalized (topic-sensitive / TrustRank) PageRank on the
     shard index: teleport mass lands only on the seed set
     {doc_id % 97 == 0}, so ranks measure link proximity to the trusted
     seeds — the seed-relative crawl-prioritization signal. Same
-    integer semantics and exchange shape as `pagerank_indexed`; the
+    integer semantics and exchange shape as `pagerank`; the
     oracle replays every iteration with a seed CASE in the base
     term."""
-    from pdf_extractor_ray.functions.graph_indexed import pagerank_indexed
+    from pdf_extractor_ray.functions.graph import pagerank
 
     docs = ray.data.read_parquet(_t(sf_dir, "documents"), columns=["doc_id"])
     n = docs.count()  # parquet metadata only
@@ -6838,7 +6728,7 @@ def _q_pagerank_personalized(sf_dir: str):
 
     edges = docs.map_batches(mk_edges, batch_format="pyarrow")
     seeds = docs.map_batches(mk_seeds, batch_format="pyarrow")
-    return pagerank_indexed(edges, docs, n_iters=5, seeds=seeds)
+    return pagerank(edges, docs, n_iters=5, seeds=seeds)
 
 
 def _q_sssp(sf_dir: str):
@@ -6848,7 +6738,7 @@ def _q_sssp(sf_dir: str):
     Each round ships pre-folded per-dst MIN(dist+w) partials on the
     shard index; the oracle replays the same 8 rounds as chained
     min-fold CTEs."""
-    from pdf_extractor_ray.functions.graph_indexed import sssp_indexed
+    from pdf_extractor_ray.functions.graph import sssp
 
     docs = ray.data.read_parquet(_t(sf_dir, "documents"), columns=["doc_id"])
     n = docs.count()  # parquet metadata only
@@ -6863,7 +6753,7 @@ def _q_sssp(sf_dir: str):
         w = (src * 7919 + dst * 104729) % 9 + 1
         return pa.table({"src": src, "dst": dst, "w": w})
 
-    return sssp_indexed(
+    return sssp(
         docs.map_batches(mk_edges, batch_format="pyarrow"),
         seed=0, max_rounds=8,
     )
@@ -6914,7 +6804,7 @@ def _q_authority_topk(sf_dir: str):
     length-gated (n_chars >= 500), top 20 by (rank DESC, doc_id ASC).
     Oracle: the pagerank CTE stack joined to documents with the same
     gate and order."""
-    from pdf_extractor_ray.functions.graph_indexed import pagerank_indexed
+    from pdf_extractor_ray.functions.graph import pagerank
 
     docs = ray.data.read_parquet(
         _t(sf_dir, "documents"), columns=["doc_id", "lang", "n_chars"]
@@ -6932,7 +6822,7 @@ def _q_authority_topk(sf_dir: str):
         df = df[df["src"] != df["dst"]].drop_duplicates()
         return pa.Table.from_pandas(df, preserve_index=False)
 
-    ranks = pagerank_indexed(
+    ranks = pagerank(
         ids.map_batches(mk_edges, batch_format="pyarrow"), ids, n_iters=5
     )
 
@@ -7005,7 +6895,7 @@ def _q_pseudo_diameter(sf_dir: str):
     recursion needs an explicit d<64 cap to terminate — safe: this
     graph family's diameter is ~log n, and a >=64 engine result would
     mismatch loudly rather than silently)."""
-    from pdf_extractor_ray.functions.graph_indexed import bfs_hops_indexed
+    from pdf_extractor_ray.functions.graph import bfs_hops
 
     docs = ray.data.read_parquet(_t(sf_dir, "documents"), columns=["doc_id"])
     n = docs.count()  # parquet metadata only
@@ -7031,9 +6921,9 @@ def _q_pseudo_diameter(sf_dir: str):
         ).min("node")
         return int(far), int(mx)
 
-    sweep1 = bfs_hops_indexed(edges, ray.data.from_items([{"node": 0}]))
+    sweep1 = bfs_hops(edges, ray.data.from_items([{"node": 0}]))
     start2, _ = far_node(sweep1)
-    sweep2 = bfs_hops_indexed(
+    sweep2 = bfs_hops(
         edges, ray.data.from_items([{"node": start2}])
     )
     end, lb = far_node(sweep2)
@@ -7051,8 +6941,9 @@ def _q_hits(sf_dir: str):
     degrees and dispersed scores. Three max-normalized iterations in
     exact integer units — edge sums are int64, the node-sized
     normalize multiply is Python-int exact, and the SQL oracle replays
-    every half-step through HUGEINT floor division. Four coarse-bucket
-    cogroup exchanges per iteration; the driver holds two ints."""
+    every half-step through HUGEINT floor division. On the shard index
+    each half-step ships per-key partial sums; the driver holds two
+    ints per iteration."""
     from pdf_extractor_ray.functions.graph import hits
 
     docs = ray.data.read_parquet(_t(sf_dir, "documents"), columns=["doc_id"])
@@ -7074,35 +6965,6 @@ def _q_hits(sf_dir: str):
 
     edges = docs.map_batches(mk_edges, batch_format="pyarrow")
     return hits(edges, docs, n_iters=3)
-
-
-def _q_hits_indexed(sf_dir: str):
-    """Same HITS semantics, graph and oracle as `hits`, on the
-    actor-sharded index: both edge orientations exchanged ONCE into
-    shard CSRs, each half-step ships per-key partial sums + one local
-    max per shard (11x measured vs the 4-exchange cogroup engine;
-    bit-exact equivalence pinned in tests/test_graph_indexed.py)."""
-    from pdf_extractor_ray.functions.graph_indexed import hits_indexed
-
-    docs = ray.data.read_parquet(_t(sf_dir, "documents"), columns=["doc_id"])
-    n = docs.count()  # parquet metadata only
-
-    def mk_edges(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src = np.repeat(ids, 3)
-        dst = np.stack(
-            [(ids * 7 + 1) % n, (ids * 13 + 2) % n, (ids * 31 + 3) % n],
-            axis=1,
-        ).reshape(-1)
-        keep = np.repeat(ids % 3, 3) >= np.tile(
-            np.arange(3, dtype=np.int64), len(ids)
-        )
-        df = pd.DataFrame({"src": src[keep], "dst": dst[keep]})
-        df = df[df["src"] != df["dst"]].drop_duplicates()
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    edges = docs.map_batches(mk_edges, batch_format="pyarrow")
-    return hits_indexed(edges, docs, n_iters=3)
 
 
 def _hits_sql(n_iters: int = 3) -> str:
@@ -8023,10 +7885,8 @@ def _q_scc_component(sf_dir: str):
     """Strongly connected component of doc 0 in the affine 3-out-link
     graph via forward-backward BFS closure on the actor-sharded
     adjacency index (ONE edge exchange per direction instead of one
-    per level; 15x measured vs the cogroup path, which remains as
-    `graph.scc_members` with equivalence-pinned tests). Oracle: two
-    recursive CTE closures intersected."""
-    from pdf_extractor_ray.functions.graph_indexed import scc_members_indexed
+    per level). Oracle: two recursive CTE closures intersected."""
+    from pdf_extractor_ray.functions.graph import scc_members
 
     docs = ray.data.read_parquet(_t(sf_dir, "documents"), columns=["doc_id"])
     n = docs.count()  # parquet metadata only
@@ -8040,7 +7900,7 @@ def _q_scc_component(sf_dir: str):
         ).reshape(-1)
         return pa.table({"src": src, "dst": dst})
 
-    return scc_members_indexed(
+    return scc_members(
         docs.map_batches(mk_edges, batch_format="pyarrow"), seed=0
     )
 
@@ -8104,9 +7964,8 @@ def _q_nation_pair_volume(sf_dir: str):
     customer nation per ship year (1995-1996). Sharded-lookup engine
     (join_indexed.py): orders/customer/supplier partitioned across
     lookup shard actors, ONE streaming lineitem pass with two batched
-    RPC waves, zero sort exchanges for the joins (the cogroup twin
-    `tpch_extra.cross_nation_volume` is pytest-pinned equal; r4 A/B:
-    8.65 s cogroup / 7.2 s native join / ~1.9 s this path)."""
+    RPC waves, zero sort exchanges for the joins (r4 A/B: 8.65 s
+    bucket cogroup / 7.2 s native join / ~1.9 s this path)."""
     from pdf_extractor_ray.functions.join_indexed import (
         cross_nation_volume_indexed as cross_nation_volume,
     )
@@ -8136,8 +7995,7 @@ def _q_market_share(sf_dir: str):
     (join_indexed.py): part/orders/customer/supplier partitioned
     across lookup shard actors — part is never broadcast — ONE
     streaming lineitem pass, two RPC waves, zero join sort exchanges
-    (cogroup twin `tpch_extra.market_share` pytest-pinned equal; r4
-    A/B: 7.4 s cogroup / ~1.4 s this path)."""
+    (r4 A/B: 7.4 s bucket cogroup / ~1.4 s this path)."""
     from pdf_extractor_ray.functions.join_indexed import (
         market_share_indexed as market_share,
     )
@@ -8278,7 +8136,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "strip_spans_min30": _q_strip_spans_min30,
         "dup_clusters": _q_dup_clusters,
         "cluster_safe_split": _q_cluster_safe_split,
-        "dup_clusters_indexed": _q_dup_clusters_indexed,
+        "dup_clusters_indexed": _q_dup_clusters,
         "cluster_size_hist": _q_cluster_size_hist,
         "cosine_pairs": _q_cosine_pairs,
         "containment_pairs": _q_containment_pairs,
@@ -8396,7 +8254,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "editdist_neardup": _q_editdist_neardup,
         "entity_clusters": _q_entity_clusters,
         "triangles": _q_triangles,
-        "triangles_indexed": _q_triangles_indexed,
+        "triangles_indexed": _q_triangles,
         "random_walks": _q_random_walks,
         "walk_skipgrams": _q_walk_skipgrams,
         "lpa_communities": _q_lpa_communities,
@@ -8427,7 +8285,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "attribution": _q_attribution,
         "profile": _q_profile,
         "kcore": _q_kcore,
-        "kcore_indexed": _q_kcore_indexed,
+        "kcore_indexed": _q_kcore,
         "vocab_drift": _q_vocab_drift,
         "zipf_histogram": _q_zipf_histogram,
         "compression_ratio": _q_compression_ratio,
@@ -8502,14 +8360,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "graph_ann": _q_graph_ann,
         "strip_tokenize_chain": _q_strip_tokenize_chain,
         "pagerank": _q_pagerank,
-        "pagerank_indexed": _q_pagerank_indexed,
+        "pagerank_indexed": _q_pagerank,
         "pagerank_personalized": _q_pagerank_personalized,
         "sssp": _q_sssp,
         "authority_topk": _q_authority_topk,
         "embedding_dim_stats": _q_embedding_dim_stats,
         "pseudo_diameter": _q_pseudo_diameter,
         "hits": _q_hits,
-        "hits_indexed": _q_hits_indexed,
+        "hits_indexed": _q_hits,
         "dsir_score": _q_dsir_score,
         "dsir_select": _q_dsir_select,
         "mixture_select": _q_mixture_select,
@@ -8589,7 +8447,7 @@ _DSIR_SCORE_SQL = """
 
 def _mis_sql(max_rounds: int = 8) -> str:
     """Chained-CTE replay of deterministic Luby MIS
-    (`graph_indexed.mis_indexed`) over the affine 3-out-link graph:
+    (`graph.mis`) over the affine 3-out-link graph:
     per round, priority = (first-8-md5-hex("node:r"), node); a node
     joins iff no alive neighbor precedes it; winners + neighborhoods
     die. Rounds past exhaustion are empty no-ops."""
@@ -14456,8 +14314,8 @@ SELECT vec_id, cluster FROM (
     # composed oracle: ANN recall = LSH top-5 vs brute top-5 overlap,
     # built from the two leg oracles verbatim so the contract can't
     # drift from what the legs themselves are gated on
-    # the indexed engine must reproduce the cogroup engine bit-exactly,
-    # so it gates against the very same iteration-replay oracle
+    # the *_indexed gate names run the same engine as their base
+    # names, so they gate against the very same oracles
     d["pagerank_indexed"] = d["pagerank"]
     # composite: pagerank scores joined to gated documents, top 20
     d["authority_topk"] = (

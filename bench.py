@@ -147,9 +147,8 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
             "image_decode",
             "audio_features",
             "video_frames",
-            # graph family benches on the actor-sharded indexed
-            # engines (the cogroup twins remain gate-only
-            # oracle-diversity variants — r4 verdict "What's wrong #3")
+            # graph family: the *_indexed gate names run the same
+            # shard-index engines as their base names
             "pagerank_indexed",
             "hits_indexed",
             "triangles_indexed",

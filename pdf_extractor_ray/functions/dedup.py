@@ -509,16 +509,10 @@ def exact_dup_spans(
     def emit_positions(batch: pa.Table) -> pa.Table:
         ids_out, hs_out, pos_out = [], [], []
         per_doc = _batch_ngram_hashes(batch[text_col].to_pylist(), n)
-        texts = batch[text_col].to_pylist()
-        for i, t, hs64 in zip(
-            batch[id_col].to_pylist(), texts, per_doc
-        ):
-            # _batch_ngram_hashes hashes the WHOLE word sequence when
-            # the doc is shorter than n — such a "window" is not a
-            # length->=-L substring, so skip those docs entirely
-            if len(hs64) == 0 or len(
-                _WORD_RE.findall((t or "").lower())
-            ) < n:
+        for i, hs64 in zip(batch[id_col].to_pylist(), per_doc):
+            # _batch_ngram_hashes returns no windows for a doc shorter
+            # than n words: it has no length->=-L substring
+            if len(hs64) == 0:
                 continue
             hs = hs64.view(np.int64) & np.int64(0x7FFFFFFFFFFFFFFF)
             ids_out.append(np.full(len(hs), i, dtype=np.int64))

@@ -218,8 +218,9 @@ def edit_distance_clusters(
 
     This is the classic three-stage linkage plan (block, compare,
     cluster) run as one streaming Ray pipeline; the CC stage is the
-    repo's label-propagation ``connected_components`` (two bucket
-    exchanges per round, driver sees one scalar per round). The SQL
+    repo's label-propagation ``connected_components`` (match edges
+    pushed once into the graph shard index, driver sees one scalar
+    per round). The SQL
     oracle replays blocking + levenshtein edges + a recursive-CTE
     transitive closure.
     """

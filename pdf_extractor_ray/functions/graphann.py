@@ -143,10 +143,12 @@ def nsw_build_edges(
         order = np.argsort(ids)
         ids, q = ids[order], q[order]
         frames = []
-        d2 = _pair_d2(q, q)
-        np.fill_diagonal(d2, np.iinfo(np.int64).max)  # no self loops
+        # a cell whose centroid duplicates a lower-index one has
+        # visitors but no residents: mm <= 0 skips the resident block
         mm = min(m, len(ids) - 1)
         if mm > 0:
+            d2 = _pair_d2(q, q)
+            np.fill_diagonal(d2, np.iinfo(np.int64).max)  # no self loops
             # per-row top-mm by (d2 asc, id asc): ids ascending makes
             # the stable lexsort tie-break = lower id first
             nn = np.lexsort(

@@ -24,8 +24,8 @@ chain with the classic partitioned-build hash join:
 Exchange count: 0 sort shuffles for the joins themselves (the only
 groupby touches the constant-domain partials). The same byte volume
 the cogroup path sorted now moves exactly once, batched, straight into
-actor heaps — the identical argument that bought `graph_indexed` its
-5-60x and `_bigram_counts_sharded` 2.3x.
+actor heaps — the identical argument that bought the graph shard
+index (graph.py) its 5-60x and `_bigram_counts_sharded` 2.3x.
 
 100-TB posture: the build side is PARTITIONED, never broadcast — each
 shard holds ``|dim| / S`` rows and S scales with the cluster, so a
@@ -33,14 +33,13 @@ fact-sized orders table at 10^12 rows still fits in aggregate cluster
 memory (this is how every production hash join places its build side).
 Probe RPCs are batched (one call per shard per wave per batch) and
 `ray.get` applies backpressure so scan tasks cannot outrun the shards.
-The bucket-cogroup twins (`tpch_extra.market_share` /
-`cross_nation_volume`) remain as the no-actor-memory fallback and as
-oracle-diversity variants; pytest pins both paths equal.
+This is the only engine for Q7/Q8; the DuckDB gate oracle and a pandas
+merge in pytest are the cross-checks.
 
 Reference scope: the reference repo has no relational engine at all
 (SURVEY.md section 2 relational extensions); these are the Q7/Q8
-skeletons re-expressed for the corpus schema, same output contract as
-their cogroup twins.
+skeletons re-expressed for the corpus schema, with exact integer-cent
+money like the rest of tpch_extra.py.
 """
 
 from __future__ import annotations
@@ -242,9 +241,9 @@ def market_share_indexed(
     p_type: str = "PROMO",
     n_shards: int | None = None,
 ) -> ray.data.Dataset:
-    """TPC-H Q8 via the sharded-lookup chain — output contract
-    identical to ``tpch_extra.market_share`` (o_year, nation_rev_c,
-    total_rev_c in exact integer cents; pytest pins both paths equal).
+    """TPC-H Q8 (national market share inside one region's market for
+    one part type) via the sharded-lookup chain: per order year,
+    (o_year, nation_rev_c, total_rev_c) in exact integer cents.
 
     Build: part (type-filtered membership), orders (orderkey ->
     custkey + order year), customer (custkey -> nation), supplier
@@ -314,16 +313,17 @@ def market_share_indexed(
         disc = batch["l_discount"].to_numpy(zero_copy_only=False)
         rev = _rev_cents(ep, disc)
 
+        empty = pa.table(
+            {
+                "o_year": pa.array([], pa.int64()),
+                "nat": pa.array([], pa.int64()),
+                "tot": pa.array([], pa.int64()),
+            }
+        )
         w1 = sharded_lookup(shards, {"part": pk, "ord": ok, "supp": sk})
         keep = w1["part"][0] & w1["ord"][0] & w1["supp"][0]
         if not keep.any():
-            return pa.table(
-                {
-                    "o_year": pa.array([], pa.int64()),
-                    "nat": pa.array([], pa.int64()),
-                    "tot": pa.array([], pa.int64()),
-                }
-            )
+            return empty
         custkey = w1["ord"][1][keep, 0]
         o_year = w1["ord"][1][keep, 1]
         s_nat = w1["supp"][1][keep, 0]
@@ -331,6 +331,8 @@ def market_share_indexed(
 
         w2 = sharded_lookup(shards, {"cust": custkey})
         found, cv = w2["cust"]
+        if cv is None or not found.any():
+            return empty
         m = found & np.isin(cv[:, 0], region_nats)
         o_year, s_nat, rev = o_year[m], s_nat[m], rev[m]
 
@@ -374,9 +376,9 @@ def cross_nation_volume_indexed(
     years: Sequence[int] = (1995, 1996),
     n_shards: int | None = None,
 ) -> ray.data.Dataset:
-    """TPC-H Q7 via the sharded-lookup chain — output contract
-    identical to ``tpch_extra.cross_nation_volume`` (supp_nation,
-    cust_nation, l_year, revenue_c; pytest pins both paths equal).
+    """TPC-H Q7 (volume shipped between two different nations per
+    ship year) via the sharded-lookup chain: (supp_nation,
+    cust_nation, l_year, revenue_c) in exact integer cents.
 
     Build: orders (orderkey -> custkey), customer (custkey -> nation),
     supplier (suppkey -> nation), partitioned across shard actors.
@@ -431,6 +433,9 @@ def cross_nation_volume_indexed(
 
         w2 = sharded_lookup(shards, {"cust": custkey})
         found, cv = w2["cust"]
+        # an empty customer dim leaves cv None on every shard
+        if cv is None or not found.any():
+            return empty
         c_nat = np.where(found, cv[:, 0], np.int64(-1))
         m2 = found & (c_nat != s_nat)
         g = pd.DataFrame(

@@ -88,8 +88,8 @@ def _bigram_counts_sharded(
     is ~2 s across 32 cores). Pushing the same partials straight into
     hash-sharded count actors (C-speed Counter merge, no sort) moves
     the identical byte volume once and skips the machinery — the same
-    one-exchange argument as graph_indexed. ray.get per batch applies
-    backpressure so scan tasks cannot outrun the shards."""
+    one-exchange argument as graph.py's shard index. ray.get per batch
+    applies backpressure so scan tasks cannot outrun the shards."""
     if n_shards is None:
         try:
             n_shards = max(4, int(ray.cluster_resources().get("CPU", 8)) // 2)

@@ -39,8 +39,9 @@ cover the survey's "wide aggregation / join shapes" axis
 (SURVEY.md §2 relational extensions) the same way custdist/semi_join
 do.
 
-Round-4 session 8 adds the REMAINING classic shapes (Q2/Q6/Q7/Q8/Q9/
-Q12/Q16/Q19/Q20 skeletons; no ``partsupp`` table or shipmode/
+Round-4 session 8 adds the REMAINING classic shapes (Q2/Q6/Q9/Q12/
+Q16/Q19/Q20 skeletons; the Q7/Q8 join chains live in
+``join_indexed.py``; no ``partsupp`` table or shipmode/
 commitdate columns exist in the synthetic schema, so Q2/Q9/Q12/Q16/
 Q20 re-express their join/aggregate shape over ``lineitem`` shipment
 history -- each docstring states the exact adaptation). All big-big
@@ -53,7 +54,7 @@ ride closures.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import pandas as pd
@@ -74,8 +75,6 @@ __all__ = [
     "revenue_share_parts",
     "discount_band_revenue",
     "late_lines_by_priority",
-    "cross_nation_volume",
-    "market_share",
     "supplier_count_by_part",
     "disjunctive_revenue",
     "min_acctbal_supplier",
@@ -643,454 +642,6 @@ def late_lines_by_priority(
     return joined.groupby("o_orderpriority").aggregate(
         Sum("n_late", alias_name="n_late"),
         Sum("n_lines", alias_name="n_lines"),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Q7 — volume shipping between different nations per ship year
-# ---------------------------------------------------------------------------
-
-
-def cross_nation_volume(
-    lineitem: ray.data.Dataset,
-    orders: ray.data.Dataset,
-    customer: ray.data.Dataset,
-    supplier: ray.data.Dataset,
-    nation: pd.DataFrame,
-    years: Sequence[int] = (1995, 1996),
-    n_buckets: int = 64,
-) -> ray.data.Dataset:
-    """TPC-H Q7: revenue flowing from a supplier nation to a DIFFERENT
-    customer nation, per ship year. Three chained big-big cogroups
-    (orderkey, custkey, suppkey) exactly like `nation_revenue`, but
-    the year rides the partials and the stage-3 filter is
-    ``s_nation != c_nation``; only the 25-row nation table is
-    broadcast for the final name attach."""
-    yrs = set(int(y) for y in years)
-
-    def tag_li(batch: pa.Table) -> pa.Table:
-        k = batch["l_orderkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        yr = pc.year(batch["l_shipdate"]).to_numpy(zero_copy_only=False)
-        ep = batch["l_extendedprice"].to_numpy(zero_copy_only=False)
-        disc = batch["l_discount"].to_numpy(zero_copy_only=False)
-        keep = np.isin(yr, list(yrs))
-        df = pd.DataFrame(
-            {
-                "key": k[keep],
-                "a": batch["l_suppkey"]
-                .to_numpy(zero_copy_only=False)
-                .astype(np.int64)[keep],
-                "yr": yr[keep].astype(np.int64),
-                "rev_c": _rev_cents(ep[keep], disc[keep]),
-            }
-        )
-        g = df.groupby(["key", "a", "yr"], as_index=False)["rev_c"].sum()
-        g["b"] = np.int64(0)
-        g["side"] = np.int8(1)
-        g["bucket"] = np.abs(g["key"].to_numpy(np.int64)) % n_buckets
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    def tag_dim(key: str, val: str):
-        def tag(batch: pa.Table) -> pa.Table:
-            k = batch[key].to_numpy(zero_copy_only=False).astype(np.int64)
-            n = len(k)
-            return pa.table(
-                {
-                    "key": k,
-                    "a": batch[val]
-                    .to_numpy(zero_copy_only=False)
-                    .astype(np.int64),
-                    "yr": np.zeros(n, np.int64),
-                    "rev_c": np.zeros(n, np.int64),
-                    "b": np.zeros(n, np.int64),
-                    "side": np.zeros(n, np.int8),
-                    "bucket": np.abs(k) % n_buckets,
-                }
-            )
-
-        return tag
-
-    def rebucket(df_ds: ray.data.Dataset) -> ray.data.Dataset:
-        def tag(batch: pa.Table) -> pa.Table:
-            k = batch["key"].to_numpy(zero_copy_only=False).astype(np.int64)
-            n = len(k)
-            return pa.table(
-                {
-                    "key": k,
-                    "a": batch["a"]
-                    .to_numpy(zero_copy_only=False)
-                    .astype(np.int64),
-                    "yr": batch["yr"]
-                    .to_numpy(zero_copy_only=False)
-                    .astype(np.int64),
-                    "rev_c": batch["rev_c"]
-                    .to_numpy(zero_copy_only=False)
-                    .astype(np.int64),
-                    "b": batch["b"]
-                    .to_numpy(zero_copy_only=False)
-                    .astype(np.int64),
-                    "side": np.ones(n, np.int8),
-                    "bucket": np.abs(k) % n_buckets,
-                }
-            )
-
-        return df_ds.map_batches(tag, batch_format="pyarrow")
-
-    # stage 1: x orders on orderkey -> key=custkey, a=suppkey
-    def post1(facts: pd.DataFrame, dims: pd.DataFrame) -> pd.DataFrame:
-        m = facts[["key", "a", "yr", "rev_c"]].merge(
-            dims[["key", "a"]].rename(columns={"a": "custkey"}),
-            on="key",
-            how="inner",
-        )
-        g = m.groupby(["custkey", "a", "yr"], as_index=False)[
-            "rev_c"
-        ].sum()
-        return pd.DataFrame(
-            {
-                "key": g["custkey"].to_numpy(np.int64),
-                "a": g["a"].to_numpy(np.int64),  # suppkey
-                "yr": g["yr"].to_numpy(np.int64),
-                "rev_c": g["rev_c"].to_numpy(np.int64),
-                "b": np.zeros(len(g), np.int64),
-            }
-        )
-
-    s1 = _bucket_join(
-        lineitem.map_batches(tag_li, batch_format="pyarrow"),
-        orders.map_batches(
-            tag_dim("o_orderkey", "o_custkey"), batch_format="pyarrow"
-        ),
-        post1,
-    )
-
-    # stage 2: x customer on custkey -> key=suppkey, b=c_nation
-    def post2(facts: pd.DataFrame, dims: pd.DataFrame) -> pd.DataFrame:
-        m = facts[["key", "a", "yr", "rev_c"]].merge(
-            dims[["key", "a"]].rename(columns={"a": "c_nat"}),
-            on="key",
-            how="inner",
-        )
-        g = m.groupby(["a", "c_nat", "yr"], as_index=False)["rev_c"].sum()
-        return pd.DataFrame(
-            {
-                "key": g["a"].to_numpy(np.int64),  # suppkey
-                "a": np.zeros(len(g), np.int64),
-                "yr": g["yr"].to_numpy(np.int64),
-                "rev_c": g["rev_c"].to_numpy(np.int64),
-                "b": g["c_nat"].to_numpy(np.int64),
-            }
-        )
-
-    s2 = _bucket_join(
-        rebucket(s1),
-        customer.map_batches(
-            tag_dim("c_custkey", "c_nationkey"), batch_format="pyarrow"
-        ),
-        post2,
-    )
-
-    # stage 3: x supplier on suppkey, keep s_nation != c_nation
-    def post3(facts: pd.DataFrame, dims: pd.DataFrame) -> pd.DataFrame:
-        m = facts[["key", "b", "yr", "rev_c"]].merge(
-            dims[["key", "a"]].rename(columns={"a": "s_nat"}),
-            on="key",
-            how="inner",
-        )
-        m = m[m["b"] != m["s_nat"]]
-        g = m.groupby(["s_nat", "b", "yr"], as_index=False)["rev_c"].sum()
-        return pd.DataFrame(
-            {
-                "s_nat": g["s_nat"].to_numpy(np.int64),
-                "c_nat": g["b"].to_numpy(np.int64),
-                "l_year": g["yr"].to_numpy(np.int64),
-                "rev_part": g["rev_c"].to_numpy(np.int64),
-            }
-        )
-
-    s3 = _bucket_join(
-        rebucket(s2),
-        supplier.map_batches(
-            tag_dim("s_suppkey", "s_nationkey"), batch_format="pyarrow"
-        ),
-        post3,
-    )
-
-    agg = s3.groupby(["s_nat", "c_nat", "l_year"]).aggregate(
-        Sum("rev_part", alias_name="revenue_c")
-    )
-    names = nation[["n_nationkey", "n_name"]]
-
-    def attach(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df = df.merge(
-            names.rename(
-                columns={"n_nationkey": "s_nat", "n_name": "supp_nation"}
-            ),
-            on="s_nat",
-        ).merge(
-            names.rename(
-                columns={"n_nationkey": "c_nat", "n_name": "cust_nation"}
-            ),
-            on="c_nat",
-        )
-        return pa.Table.from_pandas(
-            df[["supp_nation", "cust_nation", "l_year", "revenue_c"]],
-            preserve_index=False,
-        )
-
-    return agg.map_batches(attach, batch_format="pyarrow")
-
-
-# ---------------------------------------------------------------------------
-# Q8 — national market share inside one region's market for one part type
-# ---------------------------------------------------------------------------
-
-
-def market_share(
-    lineitem: ray.data.Dataset,
-    orders: ray.data.Dataset,
-    customer: ray.data.Dataset,
-    supplier: ray.data.Dataset,
-    part: ray.data.Dataset,
-    nation: pd.DataFrame,
-    region_name: str = "ASIA",
-    nation_name: str = "NATION_2",
-    p_type: str = "PROMO",
-    n_buckets: int = 64,
-) -> ray.data.Dataset:
-    """TPC-H Q8 shape: within one region's market (customers in
-    ``region_name``) and one part type, the per-order-year revenue
-    split into the target supplier nation's share vs the total. Four
-    chained big-big cogroups — partkey (part grows with the corpus,
-    never broadcast), orderkey, custkey, suppkey — each pre-aggregated
-    on the next key; the division is left to the reader: the output
-    carries exact integer (nation_rev_c, total_rev_c) per year."""
-    # the caller passes `nation` pre-joined with region (r_name col) —
-    # both tables are fixed-size (25/5 rows) and ride the closure
-    if "r_name" not in nation.columns:
-        raise ValueError("nation frame must carry r_name")
-    region_nats = set(
-        int(k)
-        for k in nation.loc[
-            nation["r_name"] == region_name, "n_nationkey"
-        ]
-    )
-    target_nat = int(
-        nation.loc[nation["n_name"] == nation_name, "n_nationkey"].iloc[0]
-    )
-
-    def tag_li(batch: pa.Table) -> pa.Table:
-        k = batch["l_partkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        ep = batch["l_extendedprice"].to_numpy(zero_copy_only=False)
-        disc = batch["l_discount"].to_numpy(zero_copy_only=False)
-        df = pd.DataFrame(
-            {
-                "key": k,
-                "a": batch["l_orderkey"]
-                .to_numpy(zero_copy_only=False)
-                .astype(np.int64),
-                "b": batch["l_suppkey"]
-                .to_numpy(zero_copy_only=False)
-                .astype(np.int64),
-                "rev_c": _rev_cents(ep, disc),
-            }
-        )
-        g = df.groupby(["key", "a", "b"], as_index=False)["rev_c"].sum()
-        g["side"] = np.int8(1)
-        g["bucket"] = np.abs(g["key"].to_numpy(np.int64)) % n_buckets
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    def tag_part(batch: pa.Table) -> pa.Table:
-        keep = pc.equal(batch["p_type"], p_type)
-        t = batch.filter(keep)
-        k = t["p_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        n = len(k)
-        return pa.table(
-            {
-                "key": k,
-                "a": np.zeros(n, np.int64),
-                "b": np.zeros(n, np.int64),
-                "rev_c": np.zeros(n, np.int64),
-                "side": np.zeros(n, np.int8),
-                "bucket": np.abs(k) % n_buckets,
-            }
-        )
-
-    # stage 1: semi-join on the filtered part set -> key=orderkey
-    def post1(facts: pd.DataFrame, dims: pd.DataFrame) -> pd.DataFrame:
-        keep = facts["key"].isin(set(dims["key"]))
-        m = facts[keep]
-        g = m.groupby(["a", "b"], as_index=False)["rev_c"].sum()
-        return pd.DataFrame(
-            {
-                "key": g["a"].to_numpy(np.int64),  # orderkey
-                "a": g["b"].to_numpy(np.int64),  # suppkey
-                "b": np.zeros(len(g), np.int64),
-                "rev_c": g["rev_c"].to_numpy(np.int64),
-            }
-        )
-
-    s1 = _bucket_join(
-        lineitem.map_batches(tag_li, batch_format="pyarrow"),
-        part.map_batches(tag_part, batch_format="pyarrow"),
-        post1,
-    )
-
-    def tag_int_dim(key: str, val: str):
-        def tag(batch: pa.Table) -> pa.Table:
-            k = batch[key].to_numpy(zero_copy_only=False).astype(np.int64)
-            n = len(k)
-            return pa.table(
-                {
-                    "key": k,
-                    "a": batch[val]
-                    .to_numpy(zero_copy_only=False)
-                    .astype(np.int64),
-                    "b": np.zeros(n, np.int64),
-                    "rev_c": np.zeros(n, np.int64),
-                    "side": np.zeros(n, np.int8),
-                    "bucket": np.abs(k) % n_buckets,
-                }
-            )
-
-        return tag
-
-    def tag_orders(batch: pa.Table) -> pa.Table:
-        k = batch["o_orderkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        yr = pc.year(batch["o_orderdate"]).to_numpy(zero_copy_only=False)
-        n = len(k)
-        return pa.table(
-            {
-                "key": k,
-                "a": batch["o_custkey"]
-                .to_numpy(zero_copy_only=False)
-                .astype(np.int64),
-                "b": yr.astype(np.int64),
-                "rev_c": np.zeros(n, np.int64),
-                "side": np.zeros(n, np.int8),
-                "bucket": np.abs(k) % n_buckets,
-            }
-        )
-
-    def rebucket(ds: ray.data.Dataset) -> ray.data.Dataset:
-        def tag(batch: pa.Table) -> pa.Table:
-            k = batch["key"].to_numpy(zero_copy_only=False).astype(np.int64)
-            n = len(k)
-            return pa.table(
-                {
-                    "key": k,
-                    "a": batch["a"]
-                    .to_numpy(zero_copy_only=False)
-                    .astype(np.int64),
-                    "b": batch["b"]
-                    .to_numpy(zero_copy_only=False)
-                    .astype(np.int64),
-                    "rev_c": batch["rev_c"]
-                    .to_numpy(zero_copy_only=False)
-                    .astype(np.int64),
-                    "side": np.ones(n, np.int8),
-                    "bucket": np.abs(k) % n_buckets,
-                }
-            )
-
-        return ds.map_batches(tag, batch_format="pyarrow")
-
-    # stage 2: x orders on orderkey -> key=custkey, b=o_year (a=suppkey)
-    def post2(facts: pd.DataFrame, dims: pd.DataFrame) -> pd.DataFrame:
-        m = facts[["key", "a", "rev_c"]].merge(
-            dims[["key", "a", "b"]].rename(
-                columns={"a": "custkey", "b": "o_year"}
-            ),
-            on="key",
-            how="inner",
-        )
-        g = m.groupby(["custkey", "a", "o_year"], as_index=False)[
-            "rev_c"
-        ].sum()
-        return pd.DataFrame(
-            {
-                "key": g["custkey"].to_numpy(np.int64),
-                "a": g["a"].to_numpy(np.int64),  # suppkey
-                "b": g["o_year"].to_numpy(np.int64),
-                "rev_c": g["rev_c"].to_numpy(np.int64),
-            }
-        )
-
-    s2 = _bucket_join(
-        rebucket(s1),
-        orders.map_batches(tag_orders, batch_format="pyarrow"),
-        post2,
-    )
-
-    # stage 3: x customer on custkey; keep customers in the region
-    def post3(facts: pd.DataFrame, dims: pd.DataFrame) -> pd.DataFrame:
-        m = facts[["key", "a", "b", "rev_c"]].merge(
-            dims[["key", "a"]].rename(columns={"a": "c_nat"}),
-            on="key",
-            how="inner",
-        )
-        m = m[m["c_nat"].isin(region_nats)]
-        g = m.groupby(["a", "b"], as_index=False)["rev_c"].sum()
-        return pd.DataFrame(
-            {
-                "key": g["a"].to_numpy(np.int64),  # suppkey
-                "a": np.zeros(len(g), np.int64),
-                "b": g["b"].to_numpy(np.int64),  # o_year
-                "rev_c": g["rev_c"].to_numpy(np.int64),
-            }
-        )
-
-    s3 = _bucket_join(
-        rebucket(s2),
-        customer.map_batches(
-            tag_int_dim("c_custkey", "c_nationkey"),
-            batch_format="pyarrow",
-        ),
-        post3,
-    )
-
-    # stage 4: x supplier on suppkey -> per-year (nation vs total)
-    def post4(facts: pd.DataFrame, dims: pd.DataFrame) -> pd.DataFrame:
-        m = facts[["key", "b", "rev_c"]].merge(
-            dims[["key", "a"]].rename(columns={"a": "s_nat"}),
-            on="key",
-            how="inner",
-        )
-        is_t = (m["s_nat"] == target_nat).to_numpy()
-        rev = m["rev_c"].to_numpy(np.int64)
-        g = pd.DataFrame(
-            {
-                "o_year": m["b"].to_numpy(np.int64),
-                "nat": np.where(is_t, rev, 0),
-                "tot": rev,
-            }
-        ).groupby("o_year", as_index=False).sum()
-        return pd.DataFrame(
-            {
-                "o_year": g["o_year"].to_numpy(np.int64),
-                "nat": g["nat"].to_numpy(np.int64),
-                "tot": g["tot"].to_numpy(np.int64),
-            }
-        )
-
-    s4 = _bucket_join(
-        rebucket(s3),
-        supplier.map_batches(
-            tag_int_dim("s_suppkey", "s_nationkey"),
-            batch_format="pyarrow",
-        ),
-        post4,
-    )
-    return s4.groupby("o_year").aggregate(
-        Sum("nat", alias_name="nation_rev_c"),
-        Sum("tot", alias_name="total_rev_c"),
     )
 
 

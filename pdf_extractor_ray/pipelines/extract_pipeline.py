@@ -9,13 +9,13 @@ Shape (SURVEY.md §3.5):
 Skew & memory design (measured on the 100k-row bench corpus, where the
 ~2.5% giant documents are ~80% of the bytes):
 
-  - **Byte-bounded batches.** The default is ``batch_size=None`` over
-    blocks that Ray has already split to ``target_max_block_size``
-    bytes, or a modest row cap — either way a batch's *byte* size is
-    bounded, so a run of multi-MB documents lands in a small-row batch
-    automatically and can never blow a worker heap. This is the
-    single-read answer to size skew; the streaming executor's
-    backpressure does the rest.
+  - **Bounded batches.** The default is a modest row cap,
+    ``batch_size=128``, so a batch's *byte* size is bounded by 128x the
+    largest document. ``batch_size=None`` instead takes whole blocks,
+    which Ray has already split to ``target_max_block_size`` bytes, so
+    a run of multi-MB documents lands in a small-row batch. Either way
+    a batch's byte size is bounded. This is the single-read answer to
+    size skew; the streaming executor's backpressure does the rest.
   - **Optional two-lane split** (``split_by_size=True``): for extreme
     skew (hundreds-of-MB PDFs) the giant lane gets its own stage with
     ``batch_size=giant_batch_size`` and (optionally) an actor pool with

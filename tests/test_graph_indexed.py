@@ -1,8 +1,10 @@
-"""Actor-sharded BFS/SCC vs the Dataset-cogroup implementations: the
-two engines must agree exactly (same min-hop fold, same membership) on
-random graphs, and the shard index must handle empty shards, self
-loops, and unreachable seeds."""
+"""Shard-index graph engines (functions/graph.py) against independent
+references: networkx for BFS, SCC, components, triangles and k-core,
+and serial integer replays for PageRank and HITS. The shard index must
+also handle empty shards, self loops, unreachable seeds and any shard
+count."""
 
+import networkx as nx
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -11,18 +13,23 @@ import pytest
 import ray
 
 from pdf_extractor_ray.functions.graph import bfs_hops, scc_members
-from pdf_extractor_ray.functions.graph_indexed import (
-    bfs_hops_indexed,
-    scc_members_indexed,
-)
 
 
-def _canon(df):
-    return (
-        df.astype({"node": "int64"})
-        .sort_values(df.columns.tolist())
-        .reset_index(drop=True)
+def _digraph(edges: pd.DataFrame) -> nx.DiGraph:
+    g = nx.DiGraph()
+    g.add_edges_from(zip(edges["src"].tolist(), edges["dst"].tolist()))
+    return g
+
+
+def _simple_graph(edges: pd.DataFrame) -> nx.Graph:
+    """Distinct undirected self-loop-free edges, as the engines see them."""
+    g = nx.Graph()
+    g.add_edges_from(
+        (s, d)
+        for s, d in zip(edges["src"].tolist(), edges["dst"].tolist())
+        if s != d
     )
+    return g
 
 
 def test_bfs_engines_agree_random(ray_session):
@@ -31,15 +38,11 @@ def test_bfs_engines_agree_random(ray_session):
         {"src": rng.randint(0, 300, 1500), "dst": rng.randint(0, 300, 1500)}
     )
     seeds = ray.data.from_items([{"node": 3}, {"node": 250}])
-    a = bfs_hops(
-        ray.data.from_pandas(edges), seeds, max_depth=5
-    ).to_pandas()
-    b = bfs_hops_indexed(
-        ray.data.from_pandas(edges), seeds, max_depth=5
-    ).to_pandas()
-    pd.testing.assert_frame_equal(
-        _canon(a), _canon(b), check_dtype=False
-    )
+    out = bfs_hops(ray.data.from_pandas(edges), seeds, max_depth=5).to_pandas()
+    g = _digraph(edges)
+    g.add_nodes_from([3, 250])
+    want = nx.multi_source_dijkstra_path_length(g, {3, 250}, cutoff=5)
+    assert dict(zip(out["node"].tolist(), out["hops"].tolist())) == want
 
 
 def test_scc_engines_agree_random(ray_session):
@@ -47,19 +50,21 @@ def test_scc_engines_agree_random(ray_session):
     edges = pd.DataFrame(
         {"src": rng.randint(0, 200, 900), "dst": rng.randint(0, 200, 900)}
     )
-    a = scc_members(ray.data.from_pandas(edges), seed=0).to_pandas()
-    b = scc_members_indexed(ray.data.from_pandas(edges), seed=0).to_pandas()
-    assert sorted(a["node"]) == sorted(b["node"])
+    out = scc_members(ray.data.from_pandas(edges), seed=0).to_pandas()
+    g = _digraph(edges)
+    g.add_node(0)
+    want = next(c for c in nx.strongly_connected_components(g) if 0 in c)
+    assert sorted(out["node"].tolist()) == sorted(want)
 
 
 def test_indexed_unreachable_seed_and_self_loop(ray_session):
     # 9 has only a self loop; 0->1 one-way: SCC(0) == {0}
     edges = pd.DataFrame({"src": [0, 9], "dst": [1, 9]})
-    scc0 = scc_members_indexed(
+    scc0 = scc_members(
         ray.data.from_pandas(edges), seed=0, n_shards=4
     ).to_pandas()
     assert sorted(scc0["node"]) == [0]
-    scc9 = scc_members_indexed(
+    scc9 = scc_members(
         ray.data.from_pandas(edges), seed=9, n_shards=4
     ).to_pandas()
     assert sorted(scc9["node"]) == [9]
@@ -71,7 +76,7 @@ def test_indexed_hop_minimality(ray_session):
     edges = pd.DataFrame(
         {"src": [0, 1, 0, 2, 0, 4, 5], "dst": [1, 3, 2, 3, 4, 5, 3]}
     )
-    out = bfs_hops_indexed(
+    out = bfs_hops(
         ray.data.from_pandas(edges),
         ray.data.from_items([{"node": 0}]),
         n_shards=4,
@@ -80,9 +85,22 @@ def test_indexed_hop_minimality(ray_session):
     assert hops == {0: 0, 1: 1, 2: 1, 4: 1, 3: 2, 5: 2}
 
 
+def _pagerank_ref(edges: pd.DataFrame, n: int, n_iters: int) -> np.ndarray:
+    """Serial integer PageRank replay (damping 85%, micro-units)."""
+    src = edges["src"].to_numpy(np.int64)
+    dst = edges["dst"].to_numpy(np.int64)
+    outdeg = np.bincount(src, minlength=n)
+    r = np.full(n, 1_000_000, np.int64)
+    for _ in range(n_iters):
+        c = np.zeros(n, np.int64)
+        np.add.at(c, dst, r[src] // outdeg[src])
+        r = 150_000 + (85 * c) // 100
+    return r
+
+
 def test_pagerank_engines_bit_exact(ray_session):
+    """The shard engine equals the serial replay at any shard count."""
     from pdf_extractor_ray.functions.graph import pagerank
-    from pdf_extractor_ray.functions.graph_indexed import pagerank_indexed
 
     rng = np.random.RandomState(2)
     edges = pd.DataFrame(
@@ -90,30 +108,28 @@ def test_pagerank_engines_bit_exact(ray_session):
     )
     edges = edges[edges.src != edges.dst].drop_duplicates()
     nodes = pd.DataFrame({"doc_id": np.arange(150, dtype=np.int64)})
-    a = (
-        pagerank(ray.data.from_pandas(edges), ray.data.from_pandas(nodes),
-                 n_iters=4)
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
-    )
-    b = (
-        pagerank_indexed(ray.data.from_pandas(edges),
-                         ray.data.from_pandas(nodes), n_iters=4)
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(a, b.astype(a.dtypes))
+    want = _pagerank_ref(edges, 150, n_iters=4)
+    for n_shards in (1, 5):
+        out = (
+            pagerank(ray.data.from_pandas(edges), ray.data.from_pandas(nodes),
+                     n_iters=4, n_shards=n_shards)
+            .to_pandas().sort_values("doc_id").reset_index(drop=True)
+        )
+        assert out["doc_id"].tolist() == list(range(150))
+        assert out["rank_u"].tolist() == want.tolist()
 
 
 def test_pagerank_indexed_unknown_src_dst(ray_session):
-    from pdf_extractor_ray.functions.graph_indexed import pagerank_indexed
+    from pdf_extractor_ray.functions.graph import pagerank
 
     # src 99 not in universe -> contributes rank 0; dst 98 not in
     # universe -> dropped. Node 2 has no in-edges -> pure base.
     edges = pd.DataFrame({"src": [0, 99, 1], "dst": [1, 1, 98]})
     nodes = pd.DataFrame({"doc_id": np.array([0, 1, 2], np.int64)})
     out = (
-        pagerank_indexed(ray.data.from_pandas(edges),
-                         ray.data.from_pandas(nodes),
-                         n_iters=1, n_shards=4)
+        pagerank(ray.data.from_pandas(edges),
+                 ray.data.from_pandas(nodes),
+                 n_iters=1, n_shards=4)
         .to_pandas().set_index("doc_id")["rank_u"]
     )
     base = 150_000
@@ -125,50 +141,64 @@ def test_pagerank_indexed_unknown_src_dst(ray_session):
 
 def test_cc_engines_agree_random(ray_session):
     from pdf_extractor_ray.functions.graph import connected_components
-    from pdf_extractor_ray.functions.graph_indexed import (
-        connected_components_indexed,
-    )
 
     rng = np.random.RandomState(4)
     pairs = pd.DataFrame(
         {"doc_a": rng.randint(0, 400, 300), "doc_b": rng.randint(0, 400, 300)}
     )
-    a = (
-        connected_components(ray.data.from_pandas(pairs))
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
-    )
-    b = (
-        connected_components_indexed(ray.data.from_pandas(pairs))
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(a, b.astype(a.dtypes))
+    g = nx.Graph()
+    g.add_edges_from(zip(pairs["doc_a"].tolist(), pairs["doc_b"].tolist()))
+    want = {v: min(c) for c in nx.connected_components(g) for v in c}
+    for n_shards in (1, 5):
+        out = connected_components(
+            ray.data.from_pandas(pairs), n_shards=n_shards
+        ).to_pandas()
+        got = dict(zip(out["doc_id"].tolist(), out["cluster_id"].tolist()))
+        assert got == want
 
 
 def test_cc_indexed_chain_and_empty(ray_session):
-    from pdf_extractor_ray.functions.graph_indexed import (
-        connected_components_indexed,
-    )
+    from pdf_extractor_ray.functions.graph import connected_components
 
     # long path 0-1-2-...-9 needs hash-min to propagate across rounds
     pairs = pd.DataFrame({"doc_a": range(9), "doc_b": range(1, 10)})
     out = (
-        connected_components_indexed(
+        connected_components(
             ray.data.from_pandas(pairs), n_shards=4
         ).to_pandas()
     )
     assert sorted(out["doc_id"]) == list(range(10))
     assert set(out["cluster_id"]) == {0}
-    empty = connected_components_indexed(
+    empty = connected_components(
         ray.data.from_pandas(pd.DataFrame({"doc_a": [], "doc_b": []}))
     ).to_pandas()
     # ray's to_pandas drops column names on a fully-empty dataset;
-    # the row-count contract is what both engines guarantee
+    # the row-count contract is what the engine guarantees
     assert len(empty) == 0
 
 
+def _hits_ref(edges: pd.DataFrame, n: int, n_iters: int,
+              scale: int = 1_000_000):
+    """Serial max-normalized integer HITS replay -> (auth, hub)."""
+    src = edges["src"].to_numpy(np.int64)
+    dst = edges["dst"].to_numpy(np.int64)
+    hub = np.full(n, scale, np.int64)
+    auth = np.zeros(n, np.int64)
+    for _ in range(n_iters):
+        araw = np.zeros(n, np.int64)
+        np.add.at(araw, dst, hub[src])
+        mx = araw.max()
+        auth = araw * scale // mx if mx else np.zeros(n, np.int64)
+        hraw = np.zeros(n, np.int64)
+        np.add.at(hraw, src, auth[dst])
+        mx = hraw.max()
+        hub = hraw * scale // mx if mx else np.zeros(n, np.int64)
+    return auth, hub
+
+
 def test_hits_engines_bit_exact(ray_session):
+    """The shard engine equals the serial replay at any shard count."""
     from pdf_extractor_ray.functions.graph import hits
-    from pdf_extractor_ray.functions.graph_indexed import hits_indexed
 
     rng = np.random.RandomState(9)
     edges = pd.DataFrame(
@@ -176,32 +206,29 @@ def test_hits_engines_bit_exact(ray_session):
     )
     edges = edges[edges.src != edges.dst].drop_duplicates()
     nodes = pd.DataFrame({"doc_id": np.arange(120, dtype=np.int64)})
-    a = (
-        hits(ray.data.from_pandas(edges), ray.data.from_pandas(nodes),
-             n_iters=3)
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
-    )
-    b = (
-        hits_indexed(ray.data.from_pandas(edges),
-                     ray.data.from_pandas(nodes), n_iters=3)
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(
-        a, b[a.columns.tolist()].astype({c: a[c].dtype for c in a.columns})
-    )
+    auth, hub = _hits_ref(edges, 120, n_iters=3)
+    for n_shards in (1, 5):
+        out = (
+            hits(ray.data.from_pandas(edges), ray.data.from_pandas(nodes),
+                 n_iters=3, n_shards=n_shards)
+            .to_pandas().sort_values("doc_id").reset_index(drop=True)
+        )
+        assert out["doc_id"].tolist() == list(range(120))
+        assert out["auth_u"].tolist() == auth.tolist()
+        assert out["hub_u"].tolist() == hub.tolist()
 
 
 def test_personalized_pagerank_teleports_only_to_seeds(ray_session):
-    from pdf_extractor_ray.functions.graph_indexed import pagerank_indexed
+    from pdf_extractor_ray.functions.graph import pagerank
 
     # star: seeds {0}; node 2 unreachable from 0 -> rank exactly 0
     edges = pd.DataFrame({"src": [0, 1], "dst": [1, 0]})
     nodes = pd.DataFrame({"doc_id": np.array([0, 1, 2], np.int64)})
     seeds = ray.data.from_items([{"node": 0}])
     out = (
-        pagerank_indexed(ray.data.from_pandas(edges),
-                         ray.data.from_pandas(nodes),
-                         n_iters=2, n_shards=4, seeds=seeds)
+        pagerank(ray.data.from_pandas(edges),
+                 ray.data.from_pandas(nodes),
+                 n_iters=2, n_shards=4, seeds=seeds)
         .to_pandas().set_index("doc_id")["rank_u"]
     )
     assert out[2] == 0                      # no teleport, no paths
@@ -213,7 +240,7 @@ def test_personalized_pagerank_teleports_only_to_seeds(ray_session):
 
 
 def test_sssp_hand_graph(ray_session):
-    from pdf_extractor_ray.functions.graph_indexed import sssp_indexed
+    from pdf_extractor_ray.functions.graph import sssp
 
     # 0 -5-> 1 -1-> 2 ; 0 -3-> 2 direct: dist(2) = 3 (not 6)
     # 3 is dst-only, owned by a shard that holds no edges for it
@@ -221,49 +248,54 @@ def test_sssp_hand_graph(ray_session):
         {"src": [0, 1, 0, 2], "dst": [1, 2, 2, 3], "w": [5, 1, 3, 10]}
     )
     out = (
-        sssp_indexed(ray.data.from_pandas(edges), seed=0, n_shards=4)
+        sssp(ray.data.from_pandas(edges), seed=0, n_shards=4)
         .to_pandas().set_index("node")["dist"]
     )
     assert dict(out) == {0: 0, 1: 5, 2: 3, 3: 13}
 
 
 def test_sssp_round_budget_truncates(ray_session):
-    from pdf_extractor_ray.functions.graph_indexed import sssp_indexed
+    from pdf_extractor_ray.functions.graph import sssp
 
     # path 0->1->2->3, one round only reaches node 1
     edges = pd.DataFrame(
         {"src": [0, 1, 2], "dst": [1, 2, 3], "w": [1, 1, 1]}
     )
     out = (
-        sssp_indexed(ray.data.from_pandas(edges), seed=0,
-                     max_rounds=1, n_shards=4)
+        sssp(ray.data.from_pandas(edges), seed=0,
+             max_rounds=1, n_shards=4)
         .to_pandas().set_index("node")["dist"]
     )
     assert dict(out) == {0: 0, 1: 1}
 
 
-def test_triangles_indexed_matches_cogroup_engine(ray_session):
+def test_triangles_indexed_matches_networkx(ray_session):
     from pdf_extractor_ray.functions.graph import triangle_count
-    from pdf_extractor_ray.functions.graph_indexed import (
-        triangle_count_indexed,
-    )
 
     rng = np.random.default_rng(7)
     for n, m in [(40, 250), (300, 1500)]:
         edges = pd.DataFrame(
             {"src": rng.integers(0, n, m), "dst": rng.integers(0, n, m)}
         )
-        a = triangle_count(ray.data.from_pandas(edges)).to_pandas()
-        b = triangle_count_indexed(
+        g = _simple_graph(edges)
+        deg = dict(g.degree())
+        # wedges: C(outdeg, 2) per node under the (deg, id) orientation
+        outdeg = {v: 0 for v in g}
+        for u, v in g.edges():
+            outdeg[min(u, v, key=lambda x: (deg[x], x))] += 1
+        want = [
+            g.number_of_edges(),
+            sum(d * (d - 1) // 2 for d in outdeg.values()),
+            sum(nx.triangles(g).values()) // 3,
+        ]
+        out = triangle_count(
             ray.data.from_pandas(edges), n_shards=4
         ).to_pandas()
-        assert a.equals(b)
+        assert out.iloc[0].tolist() == want
 
 
 def test_triangles_indexed_known_graph(ray_session):
-    from pdf_extractor_ray.functions.graph_indexed import (
-        triangle_count_indexed,
-    )
+    from pdf_extractor_ray.functions.graph import triangle_count
 
     # K4 has 4 triangles, 6 edges; wedge stream under the (deg, id)
     # orientation: every node has deg 3, out-degrees are 3/2/1/0 ->
@@ -271,16 +303,14 @@ def test_triangles_indexed_known_graph(ray_session):
     edges = pd.DataFrame(
         {"src": [0, 0, 0, 1, 1, 2], "dst": [1, 2, 3, 2, 3, 3]}
     )
-    out = triangle_count_indexed(
+    out = triangle_count(
         ray.data.from_pandas(edges), n_shards=4
     ).to_pandas()
     assert out.iloc[0].tolist() == [6, 4, 4]
 
 
 def test_triangles_indexed_dup_and_selfloop_input(ray_session):
-    from pdf_extractor_ray.functions.graph_indexed import (
-        triangle_count_indexed,
-    )
+    from pdf_extractor_ray.functions.graph import triangle_count
 
     # duplicated directed edges + self-loops collapse to one triangle
     edges = pd.DataFrame(
@@ -289,34 +319,28 @@ def test_triangles_indexed_dup_and_selfloop_input(ray_session):
             "dst": [1, 0, 2, 2, 0, 2, 5],
         }
     )
-    out = triangle_count_indexed(
+    out = triangle_count(
         ray.data.from_pandas(edges), n_shards=4
     ).to_pandas()
     assert out.iloc[0].tolist() == [3, 1, 1]
 
 
-def test_kcore_indexed_matches_cogroup_engine(ray_session):
+def test_kcore_indexed_matches_networkx(ray_session):
     from pdf_extractor_ray.functions.graph import k_core
-    from pdf_extractor_ray.functions.graph_indexed import k_core_indexed
 
     rng = np.random.default_rng(13)
     for n, m, k in [(60, 400, 3), (300, 2500, 4)]:
         edges = pd.DataFrame(
             {"src": rng.integers(0, n, m), "dst": rng.integers(0, n, m)}
         )
-        a = (
-            k_core(ray.data.from_pandas(edges), k=k)
-            .to_pandas().sort_values("doc_id").reset_index(drop=True)
-        )
-        b = (
-            k_core_indexed(ray.data.from_pandas(edges), k=k, n_shards=4)
-            .to_pandas().sort_values("doc_id").reset_index(drop=True)
-        )
-        pd.testing.assert_frame_equal(a.astype("int64"), b.astype("int64"))
+        core = nx.k_core(_simple_graph(edges), k)
+        out = k_core(ray.data.from_pandas(edges), k=k, n_shards=4).to_pandas()
+        got = dict(zip(out["doc_id"].tolist(), out["deg"].tolist()))
+        assert got == dict(core.degree())
 
 
 def test_kcore_indexed_known_graph(ray_session):
-    from pdf_extractor_ray.functions.graph_indexed import k_core_indexed
+    from pdf_extractor_ray.functions.graph import k_core
 
     # K5 (all deg 4) + a pendant chain off node 0: 2-core = the K5,
     # chain peels over multiple cascade rounds
@@ -329,7 +353,7 @@ def test_kcore_indexed_known_graph(ray_session):
         {"src": k5s + [0, 10, 11], "dst": k5d + [10, 11, 12]}
     )
     out = (
-        k_core_indexed(ray.data.from_pandas(edges), k=2, n_shards=4)
+        k_core(ray.data.from_pandas(edges), k=2, n_shards=4)
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     assert out["doc_id"].tolist() == [0, 1, 2, 3, 4]
@@ -337,10 +361,10 @@ def test_kcore_indexed_known_graph(ray_session):
 
 
 def test_kcore_indexed_empty_core(ray_session):
-    from pdf_extractor_ray.functions.graph_indexed import k_core_indexed
+    from pdf_extractor_ray.functions.graph import k_core
 
     edges = pd.DataFrame({"src": [0, 1, 2], "dst": [1, 2, 3]})  # path
-    out = k_core_indexed(
+    out = k_core(
         ray.data.from_pandas(edges), k=3, n_shards=4
     ).to_pandas()
     assert len(out) == 0
@@ -348,14 +372,12 @@ def test_kcore_indexed_empty_core(ray_session):
 
 def test_random_walks_known_graph_and_sinks(ray_session):
     import hashlib
-    from pdf_extractor_ray.functions.graph_indexed import (
-        random_walks_indexed,
-    )
+    from pdf_extractor_ray.functions.graph import random_walks
 
     # 0 -> {1, 2}, 1 -> {2}; 2 is a sink: walks end there
     edges = pd.DataFrame({"src": [0, 0, 1, 0], "dst": [1, 2, 2, 1]})
     out = (
-        random_walks_indexed(
+        random_walks(
             ray.data.from_pandas(edges),
             walk_len=4,
             walks_per_node=1,
@@ -394,15 +416,13 @@ def test_random_walks_known_graph_and_sinks(ray_session):
 
 
 def test_random_walks_multi_walk_and_dup_edges(ray_session):
-    from pdf_extractor_ray.functions.graph_indexed import (
-        random_walks_indexed,
-    )
+    from pdf_extractor_ray.functions.graph import random_walks
 
     # duplicate directed edges + self-loops collapse before ranking
     edges = pd.DataFrame(
         {"src": [0, 0, 0, 0, 1, 2], "dst": [1, 1, 2, 0, 0, 0]}
     )
-    out = random_walks_indexed(
+    out = random_walks(
         ray.data.from_pandas(edges),
         walk_len=5,
         walks_per_node=3,
@@ -414,7 +434,7 @@ def test_random_walks_multi_walk_and_dup_edges(ray_session):
     # strongly connected: every walk runs the full length
     assert len(out) == 9 * 5
     # walks are deterministic: rerun is identical
-    out2 = random_walks_indexed(
+    out2 = random_walks(
         ray.data.from_pandas(edges),
         walk_len=5,
         walks_per_node=3,
@@ -458,9 +478,7 @@ def test_skipgram_pairs_hand_window(ray_session):
 
 
 def test_lpa_communities_barbell(ray_session):
-    from pdf_extractor_ray.functions.graph_indexed import (
-        lpa_communities_indexed,
-    )
+    from pdf_extractor_ray.functions.graph import lpa_communities
 
     # two triangles bridged at 2-10: LPA separates them; hand-replay
     # of the 3 synchronous rounds (ties -> smaller label) gives
@@ -471,7 +489,7 @@ def test_lpa_communities_barbell(ray_session):
             "dst": [1, 2, 0, 11, 12, 10, 10],
         }
     )
-    out = lpa_communities_indexed(
+    out = lpa_communities(
         ray.data.from_pandas(edges), n_iters=3, n_shards=4
     ).to_pandas()
     got = dict(zip(out["node"], out["community"]))
@@ -479,20 +497,18 @@ def test_lpa_communities_barbell(ray_session):
 
 
 def test_lpa_communities_deterministic(ray_session):
-    from pdf_extractor_ray.functions.graph_indexed import (
-        lpa_communities_indexed,
-    )
+    from pdf_extractor_ray.functions.graph import lpa_communities
 
     rng = np.random.default_rng(23)
     edges = pd.DataFrame(
         {"src": rng.integers(0, 200, 1200), "dst": rng.integers(0, 200, 1200)}
     )
     a = (
-        lpa_communities_indexed(ray.data.from_pandas(edges), n_shards=4)
+        lpa_communities(ray.data.from_pandas(edges), n_shards=4)
         .to_pandas().sort_values("node").reset_index(drop=True)
     )
     b = (
-        lpa_communities_indexed(ray.data.from_pandas(edges), n_shards=7)
+        lpa_communities(ray.data.from_pandas(edges), n_shards=7)
         .to_pandas().sort_values("node").reset_index(drop=True)
     )
     # shard count must not change the result
@@ -500,13 +516,13 @@ def test_lpa_communities_deterministic(ray_session):
 
 
 def test_mis_independence_and_maximality(ray_session):
-    from pdf_extractor_ray.functions.graph_indexed import mis_indexed
+    from pdf_extractor_ray.functions.graph import mis
 
     rng = np.random.default_rng(31)
     edges = pd.DataFrame(
         {"src": rng.integers(0, 300, 1800), "dst": rng.integers(0, 300, 1800)}
     )
-    out = mis_indexed(
+    out = mis(
         ray.data.from_pandas(edges), max_rounds=20, n_shards=4
     ).to_pandas()
     mis = set(out["node"])
@@ -526,7 +542,7 @@ def test_mis_independence_and_maximality(ray_session):
 
 
 def test_mis_shard_invariance(ray_session):
-    from pdf_extractor_ray.functions.graph_indexed import mis_indexed
+    from pdf_extractor_ray.functions.graph import mis
 
     rng = np.random.default_rng(37)
     edges = pd.DataFrame(
@@ -534,11 +550,11 @@ def test_mis_shard_invariance(ray_session):
     )
     key = ["node", "round"]
     a = (
-        mis_indexed(ray.data.from_pandas(edges), max_rounds=20, n_shards=3)
+        mis(ray.data.from_pandas(edges), max_rounds=20, n_shards=3)
         .to_pandas().sort_values(key).reset_index(drop=True)
     )
     b = (
-        mis_indexed(ray.data.from_pandas(edges), max_rounds=20, n_shards=8)
+        mis(ray.data.from_pandas(edges), max_rounds=20, n_shards=8)
         .to_pandas().sort_values(key).reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(a.astype("int64"), b.astype("int64"))

@@ -82,6 +82,26 @@ class TestBuild:
         )
         pd.testing.assert_frame_equal(a, b)
 
+    def test_shadowed_centroid_cell_gets_visitors_only(self, ray_session):
+        """Centroid 1 duplicates centroid 0, so cell 1 has no residents
+        (ties go to the lower cell) but still receives the visitor rows
+        of cell 0's nodes; the build must skip it, not crash."""
+        import ray.data
+
+        vecs = [[0, 0], [0, 0], [10, 10], [0.1, 0], [0, 0.2],
+                [10.1, 10], [10, 10.3]]
+        df = pd.DataFrame({"vec_id": range(len(vecs)), "embedding": vecs})
+        edges = nsw_build_edges(
+            ray.data.from_pandas(df), n_cells=3, m=2, mx=1
+        ).to_pandas()
+        deg = edges.groupby("src").size()
+        # cell 0 = {0, 1, 3, 4}: m in-cell links, no visitor links
+        # (their foreign cell is the empty cell 1); cell 2 = {2, 5, 6}:
+        # m in-cell links + one visitor link into cell 0
+        assert deg[3] == deg[4] == 2
+        assert deg[5] == deg[6] == 3
+        assert edges.loc[edges["src"] == 5, "dst"].isin([0, 1, 3, 4]).sum() == 1
+
 
 class TestSearch:
     def test_recall_vs_bruteforce(self, clustered):

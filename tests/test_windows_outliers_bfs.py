@@ -178,7 +178,7 @@ class TestBfsHops:
         s = pa.table({"node": pa.array(seeds, pa.int64())})
         out = bfs_hops(
             ray.data.from_arrow(e), ray.data.from_arrow(s),
-            max_depth=max_depth, n_buckets=8,
+            max_depth=max_depth, n_shards=4,
         ).to_pandas()
         return dict(zip(out["node"], out["hops"]))
 
