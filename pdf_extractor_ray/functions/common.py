@@ -8,6 +8,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from .shards import cluster_cpus
+
 __all__ = ["coalesce_width", "coalesce_for_exchange", "bucket_ids", "sized_read_parquet"]
 
 
@@ -62,11 +64,7 @@ def coalesce_width() -> int:
     on a multi-node run (2 x total cores grows with the cluster).
     Measured effects in BASELINE.md (round 2).
     """
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    return max(16, 2 * cpus)
+    return max(16, 2 * cluster_cpus())
 
 
 def coalesce_for_exchange(ds: ray.data.Dataset) -> ray.data.Dataset:
@@ -113,10 +111,7 @@ def sized_read_parquet(path, columns=None, target_block_bytes: int = 32 * 1024 *
                 )
         elif os.path.exists(p):
             total += os.path.getsize(p)
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
+    cpus = cluster_cpus()
     size_blocks = max(1, -(-total // target_block_bytes))
     if total and size_blocks < 2 * cpus:
         kwargs.setdefault("override_num_blocks", int(size_blocks))

@@ -53,6 +53,7 @@ from pdf_extractor_ray.functions.common import (
     coalesce_for_exchange,
     coalesce_width as _coalesce_width,
 )
+from pdf_extractor_ray.functions.shards import Shard, push, shard_actors
 
 __all__ = [
     "md5_hex",
@@ -1074,25 +1075,15 @@ def minhash_band_table(
 
 
 @ray.remote
-class _BandShard:
-    """Owns one hash range of the LSH band space. Scan tasks push
-    their pre-partitioned (band, band_hash, doc_id) slices as raw
-    numpy arrays (no per-row Python); ``emit_pairs`` concatenates,
-    lexsorts LOCALLY (C speed) and run-detects colliding groups —
-    the sort-based shuffle's work without its machinery, the same
-    direct-push lesson as the graph index builders."""
+class _BandShard(Shard):
+    """Owns one hash range of the LSH band space. ``emit_pairs``
+    lexsorts the pushed (band, band_hash, doc_id) rows LOCALLY (C
+    speed) and run-detects colliding groups — the sort-based
+    shuffle's work without its machinery."""
 
-    def __init__(self, max_bucket: int) -> None:
+    def __init__(self, sid: int, n: int, max_bucket: int) -> None:
+        super().__init__(sid, n)
         self.max_bucket = max_bucket
-        self.bands: list = []
-        self.hashes: list = []
-        self.ids: list = []
-
-    def add(self, band, h, ids) -> int:
-        self.bands.append(np.asarray(band))
-        self.hashes.append(np.asarray(h))
-        self.ids.append(np.asarray(ids, np.int64))
-        return len(ids)
 
     def emit_pairs(self) -> pa.Table:
         empty = pa.table(
@@ -1101,11 +1092,10 @@ class _BandShard:
                 "doc_b": pa.array([], pa.int64()),
             }
         )
-        if not self.ids:
+        band, h = self.take("band"), self.take("band_hash")
+        ids = self.take("doc_id")
+        if not len(ids):
             return empty
-        band = np.concatenate(self.bands)
-        h = np.concatenate(self.hashes)
-        ids = np.concatenate(self.ids)
         order = np.lexsort((ids, h, band))
         band, h, ids = band[order], h[order], ids[order]
         new = np.ones(len(h), bool)
@@ -1148,10 +1138,10 @@ def minhash_candidates(
     degenerate shingle (boilerplate); salt or drop it rather than
     exploding O(n^2) pairs.
 
-    ``route="push"`` (default) ships the band rows ONCE, batched,
-    straight into hash-sharded ``_BandShard`` actors that lexsort
-    locally — identical pairs, none of Ray's sort machinery (the
-    band stream is 16 rows/doc and the sort was 3x the signature
+    ``route="push"`` (default) pushes the band rows into
+    ``_BandShard`` actors, owner ``uint64(band_hash) % S``, that
+    lexsort locally — identical pairs, none of Ray's sort machinery
+    (the band stream is 16 rows/doc and the sort was 3x the signature
     cost at 1M docs; A/B in BASELINE.md). ``route="sort"`` keeps the
     coarse-bucket groupby form. Either way a pair can appear once
     per colliding band; callers dedupe the (small) candidate set
@@ -1218,38 +1208,21 @@ def minhash_candidates(
     # verified output.
     bands_raw = minhash_band_table(ds, text_col, id_col, n_bands, shingle_k)
     if route == "push":
-        if n_shards is None:
-            try:
-                n_shards = max(
-                    4, int(ray.cluster_resources().get("CPU", 8)) // 2
-                )
-            except Exception:
-                n_shards = 8
-        S = n_shards
-        shards = [_BandShard.remote(max_bucket) for _ in range(S)]
+        with shard_actors(_BandShard, n_shards, max_bucket) as shards:
+            S = np.uint64(len(shards))
 
-        def push(batch: pa.Table) -> pa.Table:
-            band = batch["band"].to_numpy(zero_copy_only=False)
-            h = batch["band_hash"].to_numpy(zero_copy_only=False)
-            ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-            own = (h.astype(np.uint64) % np.uint64(S)).astype(np.int64)
-            refs = []
-            for s in range(S):
-                m = own == s
-                if m.any():
-                    refs.append(
-                        shards[s].add.remote(band[m], h[m], ids[m])
-                    )
-            ray.get(refs)  # backpressure: scans can't outrun shards
-            return pa.table({"n": pa.array([len(ids)], pa.int64())})
+            def by_band_hash(batch: pa.Table):
+                cols = {
+                    c: batch[c].to_numpy(zero_copy_only=False)
+                    for c in ("band", "band_hash", "doc_id")
+                }
+                h = cols["band_hash"].astype(np.uint64)
+                return (h % S).astype(np.int64), cols
 
-        bands_raw.map_batches(push, batch_format="pyarrow").count()
-        out = ray.data.from_arrow_refs(
-            [s.emit_pairs.remote() for s in shards]
-        ).materialize()
-        for s in shards:
-            ray.kill(s)
-        return out
+            push(bands_raw, shards, by_band_hash)
+            return ray.data.from_arrow_refs(
+                [s.emit_pairs.remote() for s in shards]
+            ).materialize()
     if route != "sort":
         raise ValueError(f"unknown route: {route!r}")
     bands = bands_raw.map_batches(add_bucket, batch_format="pyarrow")

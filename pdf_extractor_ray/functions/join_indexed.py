@@ -31,8 +31,8 @@ index (graph.py) its 5-60x and `_bigram_counts_sharded` 2.3x.
 shard holds ``|dim| / S`` rows and S scales with the cluster, so a
 fact-sized orders table at 10^12 rows still fits in aggregate cluster
 memory (this is how every production hash join places its build side).
-Probe RPCs are batched (one call per shard per wave per batch) and
-`ray.get` applies backpressure so scan tasks cannot outrun the shards.
+Probe RPCs are batched (one call per shard per wave per batch); the
+build push and the actor lifecycle follow functions/shards.py.
 This is the only engine for Q7/Q8; the DuckDB gate oracle and a pandas
 merge in pytest are the cross-checks.
 
@@ -44,7 +44,9 @@ money like the rest of tpch_extra.py.
 
 from __future__ import annotations
 
-from typing import Sequence
+import contextlib
+from concurrent.futures import ThreadPoolExecutor
+from typing import Iterator, Sequence
 
 import numpy as np
 import pandas as pd
@@ -56,6 +58,7 @@ import ray.data
 from ray.data.aggregate import Sum
 
 from .common import coalesce_for_exchange
+from .shards import Shard, push, shard_actors
 from .tpch_extra import _rev_cents
 
 __all__ = [
@@ -66,38 +69,27 @@ __all__ = [
 
 
 @ray.remote
-class _LookupShard:
+class _LookupShard(Shard):
     """Owns one hash range of every dimension's (key -> values) map.
 
     Keys within a named dim must be unique (primary-key joins — the
-    only kind the chained star shapes need). Values are an int64
-    matrix so one dim can carry several attributes (custkey + year).
+    only kind the chained star shapes need). Each dim is pushed under
+    its name as an int64 matrix whose column 0 is the key and whose
+    other columns are the values, so one dim can carry several
+    attributes (custkey + year) or none (a membership set).
     """
 
-    def __init__(self) -> None:
-        self._pend: dict[str, list] = {}
+    def __init__(self, sid: int, n: int) -> None:
+        super().__init__(sid, n)
         self._built: dict[str, tuple] = {}
 
-    def add(self, name: str, keys: np.ndarray, vals) -> int:
-        self._pend.setdefault(name, []).append(
-            (np.asarray(keys, np.int64),
-             None if vals is None else np.asarray(vals, np.int64))
-        )
-        return len(keys)
-
     def seal(self) -> dict:
-        for name, parts in self._pend.items():
-            k = np.concatenate([p[0] for p in parts])
-            v = (
-                None
-                if parts[0][1] is None
-                else np.concatenate([p[1] for p in parts], axis=0)
-            )
-            order = np.argsort(k, kind="stable")
+        for name in list(self._pushed):
+            kv = self.take(name)
+            kv = kv[np.argsort(kv[:, 0], kind="stable")]
             self._built[name] = (
-                k[order], None if v is None else v[order]
+                kv[:, 0], kv[:, 1:] if kv.shape[1] > 1 else None
             )
-        self._pend = {}
         return {n: len(k) for n, (k, _) in self._built.items()}
 
     def lookup(self, reqs: dict) -> dict:
@@ -115,70 +107,45 @@ class _LookupShard:
         return out
 
 
-def _default_shards() -> int:
-    try:
-        return max(4, int(ray.cluster_resources().get("CPU", 8)) // 2)
-    except Exception:
-        return 8
-
-
+@contextlib.contextmanager
 def build_lookup_shards(
     specs: Sequence[tuple],
     n_shards: int | None = None,
-):
-    """Load dimension tables into ``S`` lookup shard actors.
+) -> Iterator[list]:
+    """Load dimension tables into ``S`` lookup shard actors, as a
+    context manager that yields the sealed actor list and kills the
+    actors when the block exits.
 
     ``specs``: iterables of (name, dataset, key_col, val_cols) where
     ``val_cols`` is a list of int-able columns (empty = membership
     set). One streaming pass per dataset; rows land on shard
-    ``abs(key) % S``. Returns the sealed actor list.
+    ``abs(key) % S``.
     """
-    S = n_shards or _default_shards()
-    shards = [_LookupShard.remote() for _ in range(S)]
+    with shard_actors(_LookupShard, n_shards) as shards:
+        S = len(shards)
 
-    def one_dim(spec):
-        name, ds, key_col, val_cols = spec
+        def one_dim(spec):
+            name, ds, key_col, val_cols = spec
 
-        def push(batch: pa.Table, name=name, key_col=key_col,
-                 val_cols=val_cols) -> pa.Table:
-            k = batch[key_col].to_numpy(zero_copy_only=False).astype(
-                np.int64, copy=False
-            )
-            v = (
-                None
-                if not val_cols
-                else np.column_stack(
+            def by_key(batch: pa.Table):
+                kv = np.column_stack(
                     [
                         batch[c].to_numpy(zero_copy_only=False).astype(
                             np.int64, copy=False
                         )
-                        for c in val_cols
+                        for c in [key_col, *val_cols]
                     ]
                 )
-            )
-            own = np.abs(k) % S
-            refs = []
-            for s in range(S):
-                m = own == s
-                if m.any():
-                    refs.append(
-                        shards[s].add.remote(
-                            name, k[m], None if v is None else v[m]
-                        )
-                    )
-            ray.get(refs)
-            return pa.table({"n": pa.array([len(k)], pa.int64())})
+                return np.abs(kv[:, 0]) % S, {name: kv}
 
-        ds.map_batches(push, batch_format="pyarrow").count()
+            push(ds, shards, by_key)
 
-    # the dim loads are independent streaming jobs — overlap them
-    # (each blocks on its own count(); threads only wait on Ray)
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=max(1, len(specs))) as pool:
-        list(pool.map(one_dim, list(specs)))
-    ray.get([s.seal.remote() for s in shards])
-    return shards
+        # the dim loads are independent streaming jobs — overlap them
+        # (each blocks on its own push; threads only wait on Ray)
+        with ThreadPoolExecutor(max_workers=max(1, len(specs))) as pool:
+            list(pool.map(one_dim, list(specs)))
+        ray.get([s.seal.remote() for s in shards])
+        yield shards
 
 
 def sharded_lookup(shards, reqs: dict[str, np.ndarray]) -> dict:
@@ -219,11 +186,6 @@ def sharded_lookup(shards, reqs: dict[str, np.ndarray]) -> dict:
                 vals[m] = v
         out[name] = (found, vals)
     return out
-
-
-def kill_shards(shards) -> None:
-    for s in shards:
-        ray.kill(s)
 
 
 # ------------------------------------------------------------- Q8
@@ -284,20 +246,17 @@ def market_share_indexed(
             }
         )
 
-    shards = build_lookup_shards(
-        [
-            ("part", part_sel, "p_partkey", []),
-            (
-                "ord",
-                orders.map_batches(tag_orders, batch_format="pyarrow"),
-                "o_orderkey",
-                ["o_custkey", "o_year"],
-            ),
-            ("cust", customer, "c_custkey", ["c_nationkey"]),
-            ("supp", supplier, "s_suppkey", ["s_nationkey"]),
-        ],
-        n_shards=n_shards,
-    )
+    dims = [
+        ("part", part_sel, "p_partkey", []),
+        (
+            "ord",
+            orders.map_batches(tag_orders, batch_format="pyarrow"),
+            "o_orderkey",
+            ["o_custkey", "o_year"],
+        ),
+        ("cust", customer, "c_custkey", ["c_nationkey"]),
+        ("supp", supplier, "s_suppkey", ["s_nationkey"]),
+    ]
 
     def probe(batch: pa.Table) -> pa.Table:
         pk = batch["l_partkey"].to_numpy(zero_copy_only=False).astype(
@@ -345,23 +304,22 @@ def market_share_indexed(
         ).groupby("o_year", as_index=False).sum()
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    # large probe batches: each batch pays 2 RPC waves, so the wave
-    # count (not bytes) is the cost driver — 64k rows x ~5 int64 cols
-    # is ~2.6 MB, far under worker heap
-    partials = lineitem.map_batches(
-        probe, batch_format="pyarrow", batch_size=64 * 1024
-    )
-    out = (
-        coalesce_for_exchange(partials)
-        .groupby("o_year")
-        .aggregate(
-            Sum("nat", alias_name="nation_rev_c"),
-            Sum("tot", alias_name="total_rev_c"),
+    with build_lookup_shards(dims, n_shards=n_shards) as shards:
+        # large probe batches: each batch pays 2 RPC waves, so the wave
+        # count (not bytes) is the cost driver — 64k rows x ~5 int64
+        # cols is ~2.6 MB, far under worker heap
+        partials = lineitem.map_batches(
+            probe, batch_format="pyarrow", batch_size=64 * 1024
         )
-        .materialize()
-    )
-    kill_shards(shards)
-    return out
+        return (
+            coalesce_for_exchange(partials)
+            .groupby("o_year")
+            .aggregate(
+                Sum("nat", alias_name="nation_rev_c"),
+                Sum("tot", alias_name="total_rev_c"),
+            )
+            .materialize()
+        )
 
 
 # ------------------------------------------------------------- Q7
@@ -388,14 +346,11 @@ def cross_nation_volume_indexed(
     """
     yrs = np.array(sorted(int(y) for y in years), dtype=np.int64)
 
-    shards = build_lookup_shards(
-        [
-            ("ord", orders, "o_orderkey", ["o_custkey"]),
-            ("cust", customer, "c_custkey", ["c_nationkey"]),
-            ("supp", supplier, "s_suppkey", ["s_nationkey"]),
-        ],
-        n_shards=n_shards,
-    )
+    dims = [
+        ("ord", orders, "o_orderkey", ["o_custkey"]),
+        ("cust", customer, "c_custkey", ["c_nationkey"]),
+        ("supp", supplier, "s_suppkey", ["s_nationkey"]),
+    ]
 
     def probe(batch: pa.Table) -> pa.Table:
         yr = pc.year(batch["l_shipdate"]).to_numpy(
@@ -448,16 +403,16 @@ def cross_nation_volume_indexed(
         ).groupby(["s_nat", "c_nat", "l_year"], as_index=False).sum()
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    partials = lineitem.map_batches(
-        probe, batch_format="pyarrow", batch_size=64 * 1024
-    )
-    agg = (
-        coalesce_for_exchange(partials)
-        .groupby(["s_nat", "c_nat", "l_year"])
-        .aggregate(Sum("rev_part", alias_name="revenue_c"))
-        .materialize()
-    )
-    kill_shards(shards)
+    with build_lookup_shards(dims, n_shards=n_shards) as shards:
+        partials = lineitem.map_batches(
+            probe, batch_format="pyarrow", batch_size=64 * 1024
+        )
+        agg = (
+            coalesce_for_exchange(partials)
+            .groupby(["s_nat", "c_nat", "l_year"])
+            .aggregate(Sum("rev_part", alias_name="revenue_c"))
+            .materialize()
+        )
 
     names = nation[["n_nationkey", "n_name"]]
 

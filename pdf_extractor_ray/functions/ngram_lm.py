@@ -38,6 +38,7 @@ import pyarrow as pa
 import ray.data
 
 from .common import bucket_ids, coalesce_for_exchange
+from .shards import Shard, cluster_cpus, push, shard_actors
 
 __all__ = ["bigram_familiarity", "phrase_count"]
 
@@ -49,20 +50,20 @@ def _words(text: str) -> list[str]:
 
 
 @ray.remote
-class _BigramCountShard:
+class _BigramCountShard(Shard):
     """Owns the corpus counts for its hash range of the bigram
-    vocabulary. Scan tasks push per-batch Counter partials keyed to
-    this shard; sums are commutative so arrival order is irrelevant.
+    vocabulary. Pushed per-batch Counter partials are merged on
+    arrival (sums are commutative, so arrival order is irrelevant).
     ``head()`` returns only the repeated (count >= 2) bigrams as an
     Arrow table ref — the hapax tail (the bulk of distinct types)
     never leaves the shard."""
 
-    def __init__(self) -> None:
+    def __init__(self, sid: int, n: int) -> None:
+        super().__init__(sid, n)
         self.c: Counter = Counter()
 
-    def add(self, bgs: list, ns: list) -> int:
-        self.c.update(dict(zip(bgs, ns)))
-        return len(bgs)
+    def add(self, bg: np.ndarray, n: np.ndarray) -> None:
+        self.c.update(dict(zip(bg.tolist(), n.tolist())))
 
     def head(self) -> pa.Table:
         ks = [k for k, v in self.c.items() if v >= 2]
@@ -88,42 +89,24 @@ def _bigram_counts_sharded(
     is ~2 s across 32 cores). Pushing the same partials straight into
     hash-sharded count actors (C-speed Counter merge, no sort) moves
     the identical byte volume once and skips the machinery — the same
-    one-exchange argument as graph.py's shard index. ray.get per batch
-    applies backpressure so scan tasks cannot outrun the shards."""
-    if n_shards is None:
-        try:
-            n_shards = max(4, int(ray.cluster_resources().get("CPU", 8)) // 2)
-        except Exception:
-            n_shards = 8
-    S = n_shards
-    shards = [_BigramCountShard.remote() for _ in range(S)]
+    one-exchange argument as graph.py's shard index. Owner:
+    ``bucket_ids(bigram, S)``."""
+    with shard_actors(_BigramCountShard, n_shards) as shards:
+        S = len(shards)
 
-    def push(batch: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for t in batch[text_col].to_pylist():
-            ws = _words(t)
-            c.update(" ".join(p) for p in zip(ws, ws[1:]))
-        if c:
-            bgs = np.asarray(list(c.keys()), dtype=object)
-            ns = np.asarray(list(c.values()), dtype=np.int64)
-            own = bucket_ids(bgs, S)
-            refs = []
-            for s in range(S):
-                m = own == s
-                if m.any():
-                    refs.append(
-                        shards[s].add.remote(bgs[m].tolist(), ns[m].tolist())
-                    )
-            ray.get(refs)
-        return pa.table({"n_doc": pa.array([batch.num_rows], pa.int64())})
+        def by_bucket(batch: pa.Table):
+            c: Counter = Counter()
+            for t in batch[text_col].to_pylist():
+                ws = _words(t)
+                c.update(" ".join(p) for p in zip(ws, ws[1:]))
+            bg = np.asarray(list(c.keys()), dtype=object)
+            n = np.asarray(list(c.values()), dtype=np.int64)
+            return bucket_ids(bg, S), {"bg": bg, "n": n}
 
-    # consume the push stream fully before reading heads
-    ds.map_batches(push, batch_format="pyarrow").count()
-    counts = ray.data.from_arrow_refs([s.head.remote() for s in shards])
-    counts = counts.materialize()
-    for s in shards:
-        ray.kill(s)
-    return counts
+        push(ds, shards, by_bucket)
+        return ray.data.from_arrow_refs(
+            [s.head.remote() for s in shards]
+        ).materialize()
 
 
 class _BroadcastBigramScorer:
@@ -245,10 +228,7 @@ def _bigram_score_broadcast(
         packed = np.empty(0, dtype=np.int64)
         lg = np.empty(0, dtype=np.int64)
     ref = ray.put((words, packed, lg))
-    try:
-        n_actors = max(2, int(ray.cluster_resources().get("CPU", 8)) - 2)
-    except Exception:
-        n_actors = 8
+    n_actors = max(2, cluster_cpus() - 2)
     return ds.map_batches(
         _BroadcastBigramScorer,
         fn_constructor_args=(ref, text_col, id_col),

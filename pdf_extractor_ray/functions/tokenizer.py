@@ -33,6 +33,7 @@ from pdf_extractor_ray.functions.common import (
     coalesce_for_exchange,
     coalesce_width as _coalesce_width,
 )
+from pdf_extractor_ray.functions.shards import cluster_cpus
 from pdf_extractor_ray.kernel.bpe import (
     BPEEncoder,
     CL100K_PATTERN,
@@ -304,11 +305,7 @@ def unigram_encode_corpus(
     # leave >= 1 CPU for the upstream read/repartition tasks — an
     # actor pool equal to the whole cluster deadlocks the stream
     # (observed at the 4-CPU pytest session)
-    try:
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        ncpu = 8
-    concurrency = max(1, min(concurrency, ncpu - 1))
+    concurrency = max(1, min(concurrency, cluster_cpus() - 1))
     return ds.map_batches(
         _UnigramEncodeBatch,
         fn_constructor_args=(model_ref, pattern),
