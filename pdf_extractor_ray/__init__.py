@@ -10,7 +10,7 @@ normalization, token counting), re-expressed as streaming
 Layout:
     kernel/     pure-Python per-document extraction kernel (no Ray imports);
                 doubles as the correctness oracle for the pipelines
-    stages/     Ray Data map_batches stages (stateless tasks + actor pools)
+    stages/     Ray Data map_batches stages (stateless tasks)
     sources/    corpus synthesis + parquet readers
     functions/  corpus-level operators (dedup, similarity, text analysis)
     pipelines/  end-to-end pipelines (read -> extract -> finalize -> write)

@@ -27,8 +27,8 @@ def _env_float(name: str, default: float) -> float:
 
 @dataclass(frozen=True)
 class EngineConfig:
-    # skew routing: payloads >= this go to the giant lane when the
-    # two-lane split is on (extract_pipeline.GIANT_PAYLOAD_BYTES)
+    # size skew: payloads >= this count as giant documents
+    # (extract_pipeline.GIANT_PAYLOAD_BYTES labels the benchmark lane)
     giant_payload_bytes: int = _env_int("GRAFT_GIANT_PAYLOAD_BYTES", 256 * 1024)
     # table confidence floor; below -> dropped (reference
     # LOW_CONFIDENCE_THRESHOLD=75.0, context7/config.py:37)

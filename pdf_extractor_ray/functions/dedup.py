@@ -8,22 +8,22 @@ All shuffles here move NARROW data (hashes + ids), never full documents:
   - MinHash-LSH near-dup: shingle -> 64-perm minhash per batch
     (vectorized numpy over crc32 shingle hashes, deterministic across
     processes — no PYTHONHASHSEED dependence) -> explode to
-    (band, band_hash, doc_id) rows -> groupby band bucket -> candidate
-    pairs -> exact-Jaccard verification
+    (band, band_hash, doc_id) rows -> push to band-hash-owned shard
+    actors -> candidate pairs -> exact-Jaccard verification
   - SimHash near-dup: 64-bit sign-sum sketch, 4x16-bit band blocking,
     Hamming-distance verification
 
-Verification ``verify="bucket"`` is a hash-partitioned pair
-join that never touches the driver: candidate pairs dedupe in a coarse
-pair-bucket groupby, candidate texts are selected by an id-bucketed
-cogroup semi-join (the only corpus-sized exchange), and each pair picks
-up its two texts through candidate-sized cogroup joins before a
-streaming exact-Jaccard verify. ``verify="broadcast"`` remains as the
-small-corpus fast path (candidate texts broadcast via ``ray.put``; its
-driver state scales with the near-dup fraction, not the corpus).
-``verify="auto"`` (default) picks broadcast iff the counted candidate
-pair table is provably small, bucket otherwise. The LSH banding itself
-carries 16 x 8-byte keys per document.
+Verification picks its path from the counted candidate pair table.
+At most ``auto_broadcast_max`` pairs take the broadcast path
+(candidate texts broadcast via ``ray.put``; its driver state scales
+with the near-dup fraction, not the corpus). More take the bucket
+path, a hash-partitioned pair join that never touches the driver:
+candidate pairs dedupe in a coarse pair-bucket groupby, candidate
+texts are selected by an id-bucketed cogroup semi-join (the only
+corpus-sized exchange), and each pair picks up its two texts through
+candidate-sized cogroup joins before a streaming exact-Jaccard
+verify. The LSH banding itself carries 16 x 8-byte keys per
+document.
 
 Order of operations at corpus scale: run ``exact_dedup`` BEFORE the
 near-dup passes. MinHash/SimHash candidate generation is O(pairs
@@ -1127,110 +1127,40 @@ def minhash_candidates(
     n_bands: int = 16,
     shingle_k: int = 3,
     max_bucket: int = 200,
-    route: str = "push",
     n_shards: int | None = None,
 ) -> ray.data.Dataset:
     """Candidate near-dup pairs via LSH banding.
 
     Emits unique (doc_a < doc_b) pairs from any shared band bucket.
-    Buckets larger than ``max_bucket`` are truncated (logged via the
-    ``truncated`` column) — a hot bucket at corpus scale means a
-    degenerate shingle (boilerplate); salt or drop it rather than
-    exploding O(n^2) pairs.
+    Each (band, band_hash) group keeps its ``max_bucket`` smallest ids
+    before pairing — a hot bucket at corpus scale means a degenerate
+    shingle (boilerplate); salt or drop it rather than exploding
+    O(n^2) pairs.
 
-    ``route="push"`` (default) pushes the band rows into
-    ``_BandShard`` actors, owner ``uint64(band_hash) % S``, that
-    lexsort locally — identical pairs, none of Ray's sort machinery
-    (the band stream is 16 rows/doc and the sort was 3x the signature
-    cost at 1M docs; A/B in BASELINE.md). ``route="sort"`` keeps the
-    coarse-bucket groupby form. Either way a pair can appear once
-    per colliding band; callers dedupe the (small) candidate set
+    The band rows are pushed into ``_BandShard`` actors, owner
+    ``uint64(band_hash) % S``, that lexsort locally — none of Ray's
+    sort machinery (the band stream is 16 rows/doc and a sort-based
+    groupby was 3x the signature cost at 1M docs; A/B in
+    BASELINE.md). A pair can come from more than one shard (one per
+    colliding band); callers dedupe the (small) candidate set
     (`_dedupe_pairs_bucketed` / the verified output).
     """
+    bands = minhash_band_table(ds, text_col, id_col, n_bands, shingle_k)
+    with shard_actors(_BandShard, n_shards, max_bucket) as shards:
+        S = np.uint64(len(shards))
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        hashes = batch["band_hash"].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "bucket", pa.array((hashes % 128).astype("int64"))
-        )
-
-    def pairs(group: pa.Table) -> pa.Table:
-        # one hash bucket of band rows. A corpus bucket is dominated
-        # by SINGLETON (band, band_hash) groups — the old pandas
-        # groupby iterated every one of them in Python (~15M group
-        # visits at 1M docs), which was 70%+ of the whole MinHash
-        # stage. Vectorized: lexsort + run detection finds the few
-        # multi-member groups; the Python pair loop now touches ONLY
-        # groups that actually collide.
-        band = group["band"].to_numpy(zero_copy_only=False)
-        h = group["band_hash"].to_numpy(zero_copy_only=False)
-        ids = group["doc_id"].to_numpy(zero_copy_only=False)
-        empty = pa.table(
-            {
-                "doc_a": pa.array([], pa.int64()),
-                "doc_b": pa.array([], pa.int64()),
+        def by_band_hash(batch: pa.Table):
+            cols = {
+                c: batch[c].to_numpy(zero_copy_only=False)
+                for c in ("band", "band_hash", "doc_id")
             }
-        )
-        if len(h) == 0:
-            return empty
-        order = np.lexsort((ids, h, band))
-        band, h, ids = band[order], h[order], ids[order]
-        new = np.ones(len(h), bool)
-        new[1:] = (band[1:] != band[:-1]) | (h[1:] != h[:-1])
-        grp = np.cumsum(new) - 1
-        counts = np.bincount(grp)
-        multi = np.flatnonzero(counts >= 2)
-        if len(multi) == 0:
-            return empty
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        seen: set[tuple] = set()
-        for g in multi:
-            s = int(starts[g])
-            sub = ids[s : s + int(counts[g])][:max_bucket]
-            # ids are ascending within the run (lexsort minor key)
-            seen.update(itertools.combinations(sub.tolist(), 2))
-        out = sorted(seen)
-        return pa.table(
-            {
-                "doc_a": pa.array([p[0] for p in out], pa.int64()),
-                "doc_b": pa.array([p[1] for p in out], pa.int64()),
-            }
-        )
+            h = cols["band_hash"].astype(np.uint64)
+            return (h % S).astype(np.int64), cols
 
-    # The shuffle key is a COARSE bucket (128 of them), not the raw
-    # (band, band_hash): a corpus has millions of tiny band groups and
-    # per-group task overhead dwarfs the work — the fine grouping
-    # happens in pandas inside each bucket. Same result, ~100x fewer
-    # groups. Cross-bucket duplicate pairs (same pair from bands in
-    # different buckets) are possible; callers dedupe the (small)
-    # verified output.
-    bands_raw = minhash_band_table(ds, text_col, id_col, n_bands, shingle_k)
-    if route == "push":
-        with shard_actors(_BandShard, n_shards, max_bucket) as shards:
-            S = np.uint64(len(shards))
-
-            def by_band_hash(batch: pa.Table):
-                cols = {
-                    c: batch[c].to_numpy(zero_copy_only=False)
-                    for c in ("band", "band_hash", "doc_id")
-                }
-                h = cols["band_hash"].astype(np.uint64)
-                return (h % S).astype(np.int64), cols
-
-            push(bands_raw, shards, by_band_hash)
-            return ray.data.from_arrow_refs(
-                [s.emit_pairs.remote() for s in shards]
-            ).materialize()
-    if route != "sort":
-        raise ValueError(f"unknown route: {route!r}")
-    bands = bands_raw.map_batches(add_bucket, batch_format="pyarrow")
-    return (
-        bands.repartition(_coalesce_width(), shuffle=False)
-        .groupby("bucket")
-        .map_groups(pairs, batch_format="pyarrow")
-    )
+        push(bands, shards, by_band_hash)
+        return ray.data.from_arrow_refs(
+            [s.emit_pairs.remote() for s in shards]
+        ).materialize()
 
 
 def _dedupe_pairs_bucketed(
@@ -1276,38 +1206,36 @@ def minhash_dedup_pairs(
     id_col: str = "doc_id",
     threshold: float = 0.8,
     shingle_k: int = 3,
-    verify: str = "auto",
     n_buckets: int = 256,
     auto_broadcast_max: int = 50_000,
 ) -> ray.data.Dataset:
     """LSH candidates verified by exact n-gram Jaccard >= threshold.
 
-    ``verify="bucket"`` (the 100 TB path) keeps everything on the
-    cluster: candidate pairs dedupe in a coarse pair-bucket groupby,
-    a bounded Bloom filter of candidate ids (built on-cluster, OR-ed on
-    the driver as a stream of fixed-size bitmaps) prefilters the corpus,
-    and the candidate-sized remainder flows through two bucketed
-    cogroup exchanges that attach each pair's texts and verify. Driver
-    state is one Bloom bitmap (capped 256 MiB) — never ids, pairs, or
-    texts.
+    The verify path is chosen from a count: the candidate-pair table
+    is materialized (narrow: 2 int64/row; both paths consume it
+    materialized anyway) and counted from its metadata.
 
-    ``verify="broadcast"`` is the small/medium-corpus fast path: the
-    (bounded) pair table is collected driver-side, the distinct
-    candidate ids select texts via a broadcast-filter pass, and verify
-    tasks read the candidate-sized broadcast — cheaper while candidates
-    fit on one node, which a 30%-dup 100 TB crawl would not.
+    - At most ``auto_broadcast_max`` pairs: the broadcast path. The
+      (provably small) pair table is collected driver-side, the
+      distinct candidate ids select texts via a broadcast-filter pass,
+      and verify tasks read the candidate-sized broadcast — cheaper
+      while candidates fit on one node, which a 30%-dup 100 TB crawl
+      would not.
+    - More: the bucket path (the 100 TB path) keeps everything on the
+      cluster. Candidate pairs dedupe in a coarse pair-bucket groupby,
+      a bounded Bloom filter of candidate ids (built on-cluster, OR-ed
+      on the driver as a stream of fixed-size bitmaps) prefilters the
+      corpus, and the candidate-sized remainder flows through two
+      bucketed cogroup exchanges that attach each pair's texts and
+      verify. Driver state is one Bloom bitmap (capped 256 MiB) —
+      never ids, pairs, or texts.
 
-    ``verify="auto"`` (default) counts the materialized candidate-pair
-    table (narrow: 2 int64/row; both paths consume it materialized
-    anyway) and takes broadcast when there are at most
-    ``auto_broadcast_max`` pairs — the driver then holds a provably
-    small pair table — and bucket otherwise. Both branches produce
-    identical results (pytest-pinned), so the switch is purely a cost
-    choice.
+    Both paths produce identical results (pytest-pinned), so the
+    switch is purely a cost choice.
     """
     cand = minhash_candidates(ds, text_col, id_col, shingle_k=shingle_k)
     return _verify_candidates(
-        cand, ds, text_col, id_col, threshold, shingle_k, verify,
+        cand, ds, text_col, id_col, threshold, shingle_k,
         n_buckets, auto_broadcast_max,
     )
 
@@ -1319,26 +1247,19 @@ def _verify_candidates(
     id_col: str,
     threshold: float,
     shingle_k: int,
-    verify: str,
     n_buckets: int,
     auto_broadcast_max: int,
 ) -> ray.data.Dataset:
     """Exact n-gram-Jaccard verification of candidate (doc_a, doc_b)
-    pairs against the texts in ``ds`` — the bucket / broadcast / auto
-    machinery documented on :func:`minhash_dedup_pairs`, shared with
+    pairs against the texts in ``ds`` — the counted bucket / broadcast
+    choice documented on :func:`minhash_dedup_pairs`, shared with
     :func:`incremental_minhash` (where ``ds`` is the union of the new
-    dump and the old corpus, ids globally unique across dumps)."""
-    if verify not in ("auto", "bucket", "broadcast"):
-        raise ValueError(
-            f"verify must be 'auto', 'bucket' or 'broadcast', got {verify!r}"
-        )
+    dump and the old corpus, ids globally unique across dumps) and
+    :func:`jaccard_join_prefix`."""
+    cand = cand.materialize()
+    n_cand = cand.count()  # metadata only after materialize
 
-    if verify == "auto":
-        cand = cand.materialize()
-        n_cand = cand.count()  # metadata only after materialize
-        verify = "broadcast" if n_cand <= auto_broadcast_max else "bucket"
-
-    if verify == "bucket":
+    if n_cand > auto_broadcast_max:
         # Fully distributed verify. Driver state is ONE fixed-size
         # Bloom bitmap — never ids, pairs, or texts:
         #   0. candidate pairs materialize into the object store
@@ -1360,8 +1281,6 @@ def _verify_candidates(
         #      pair-bucket groupby, where the exact-Jaccard verify runs
         #      (Bloom false positives carry harmless extra texts that
         #      simply match no pair).
-        cand = cand.materialize()
-        n_cand = cand.count()
         if n_cand == 0:
             import pandas as pd
 
@@ -1567,7 +1486,7 @@ def _verify_candidates(
             .map_groups(verify_in_bucket, batch_format="pyarrow")
         )
 
-    # ---- verify == "broadcast" (driver-bounded fast path) ----
+    # ---- broadcast (driver-bounded fast path) ----
     cand_df = cand.to_pandas().drop_duplicates(subset=["doc_a", "doc_b"])
     if cand_df.empty:
         import pandas as pd
@@ -1641,7 +1560,6 @@ def incremental_minhash(
     shingle_k: int = 3,
     threshold: float = 0.8,
     max_bucket: int = 200,
-    verify: str = "auto",
     n_buckets: int = 256,
     auto_broadcast_max: int = 50_000,
 ) -> ray.data.Dataset:
@@ -1735,7 +1653,7 @@ def incremental_minhash(
         old_ds.select_columns([id_col, text_col])
     )
     return _verify_candidates(
-        cand, texts, text_col, id_col, threshold, shingle_k, verify,
+        cand, texts, text_col, id_col, threshold, shingle_k,
         n_buckets, auto_broadcast_max,
     )
 
@@ -2040,7 +1958,6 @@ def jaccard_join_prefix(
     id_col: str = "doc_id",
     shingle_k: int = 3,
     n_buckets: int = 256,
-    verify: str = "auto",
 ) -> ray.data.Dataset:
     """EXACT set-similarity self-join via prefix filtering (the
     AllPairs/PPJoin family — Bayardo et al. 2007, Xiao et al. 2008):
@@ -2233,6 +2150,6 @@ def jaccard_join_prefix(
         .map_groups(pair_dd, batch_format="pandas")
     )
     return _verify_candidates(
-        cand, ds, text_col, id_col, t_pm / 1000.0, shingle_k, verify,
+        cand, ds, text_col, id_col, t_pm / 1000.0, shingle_k,
         n_buckets, 50_000,
     )

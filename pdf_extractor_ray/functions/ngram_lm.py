@@ -10,9 +10,9 @@ replays verbatim via ``length(printf('%b', n)) - 1`` — so there is no
 float in the pipeline and the DuckDB oracle hash-matches. Structure:
 one count exchange into sharded count actors (hapax tail dropped at
 the source — singletons score 0 exactly), then EITHER a one-pass
-local scoring against the broadcast packed head table (default under
-the auto limit) or the bigram-bucket cogroup fallback for corpora
-whose repeated-bigram vocabulary exceeds it.
+local scoring against the broadcast packed head table (when the
+counted head fits ``broadcast_limit``) or the bigram-bucket cogroup
+for corpora whose repeated-bigram vocabulary exceeds it.
 
 ``phrase_count`` is the positional-index phrase intersection: postings
 (doc, position) are built ONLY for the phrase's words (everything else
@@ -209,7 +209,7 @@ def _bigram_score_broadcast(
     if len(head) >= (1 << 31):
         raise ValueError(
             "head table too large for 32-bit word ids — "
-            "use count_path='exchange'"
+            "lower broadcast_limit below 2**31 to score by exchange"
         )
     if len(head):
         parts = head["bg"].str.split(" ", n=1, expand=True)
@@ -242,7 +242,6 @@ def bigram_familiarity(
     text_col: str = "text",
     id_col: str = "doc_id",
     n_buckets: int = 128,
-    count_path: str = "auto",
     broadcast_limit: int = 6_000_000,
 ) -> ray.data.Dataset:
     """Per-document bigram familiarity: (doc_id, n_bigrams, fam_sum,
@@ -259,32 +258,29 @@ def bigram_familiarity(
     (corpus count 1) contributes floor(log2(1)) = 0, so only the
     REPEATED-bigram count table (count >= 2 — the Zipf head plus the
     doubletons; a small fraction of distinct types) is ever needed to
-    score. ``count_path``:
+    score. The scoring path is chosen by counting that head (Dataset
+    metadata after materialize) — the same count-then-choose contract
+    as ``dedup.minhash_dedup_pairs``:
 
-    - ``"broadcast"``: ship that head table once via ``ray.put`` and
-      score each doc locally in ONE pass — no (doc, bigram) exchange
-      at all (the measured 1M-doc wall was that ~60M-row exchange).
-      Absent bigrams default to lg = 0, which is exactly the singleton
-      value, so the result is bit-identical.
-    - ``"exchange"``: the original bigram-bucket cogroup, for corpora
-      whose repeated-bigram vocabulary exceeds driver/worker memory
-      (the count side is still head-only; per-doc token totals ride a
+    - at most ``broadcast_limit`` rows: broadcast. Ship the head table
+      once via ``ray.put`` and score each doc locally in ONE pass — no
+      (doc, bigram) exchange at all (the measured 1M-doc wall was that
+      ~60M-row exchange). Absent bigrams default to lg = 0, which is
+      exactly the singleton value, so the result is bit-identical.
+      The broadcast state is ~16 bytes per head bigram (packed int64
+      word-id pair + lg) plus the head-word strings; at the measured
+      4.3M-row head the broadcast path still beat the exchange path
+      (55 vs 69 s at 1M docs / 78.5M bigram tokens), hence the 6M
+      default.
+    - more: exchange. The bigram-bucket cogroup, for corpora whose
+      repeated-bigram vocabulary exceeds driver/worker memory (the
+      count side is still head-only; per-doc token totals ride a
       separate doc-bucket union so singleton occurrences never ship).
-    - ``"auto"`` (default): count the head (Dataset metadata after
-      materialize) and broadcast iff it has <= ``broadcast_limit``
-      rows — the same measured auto-select contract as
-      ``dedup.minhash_dedup_pairs(verify="auto")``. The broadcast
-      state is ~16 bytes per head bigram (packed int64 word-id pair +
-      lg) plus the head-word strings; at the measured 4.3M-row head
-      the broadcast path still beat the exchange path (55 vs 69 s at
-      1M docs / 78.5M bigram tokens), hence the 6M default.
 
     The input is consumed twice (count pass + score pass), so it is
     materialized once up front — the repo's standard multi-consumer
     contract (see packing.sequence_pack).
     """
-    if count_path not in ("auto", "broadcast", "exchange"):
-        raise ValueError(f"unknown count_path {count_path!r}")
     ds = ds.select_columns([id_col, text_col]).materialize()
 
     # ---- pass 1: exact repeated-bigram counts (sharded count actors;
@@ -292,13 +288,7 @@ def bigram_familiarity(
     # the hapax tail and neither scoring path ever carries it)
     counts = _bigram_counts_sharded(ds, text_col)
 
-    if count_path == "auto":
-        n_head = counts.count()  # metadata only after materialize
-        count_path = (
-            "broadcast" if n_head <= broadcast_limit else "exchange"
-        )
-
-    if count_path == "broadcast":
+    if counts.count() <= broadcast_limit:  # metadata only after materialize
         return _bigram_score_broadcast(ds, counts, text_col, id_col)
 
     # ---- pass 2: per-(doc, bigram) occurrences cogrouped with counts

@@ -92,8 +92,8 @@ def ocr_preprocess(doc: dict[str, Any]) -> dict[str, Any]:
     recognizer is a DETERMINISTIC FAKE: each image block that carries an
     ``ocr_text`` field (the synthetic corpus's stand-in for pixels)
     becomes a text block, tagged ``source: "ocr"``. The surrounding
-    plumbing — detection, page walk, synthetic-text-layer rebuild, and
-    the actor-pool stage shape — is real; swapping in tesseract is a
+    plumbing — detection, page walk and synthetic-text-layer rebuild —
+    is real; swapping in tesseract is a
     one-function change here.
     """
     out_pages = []

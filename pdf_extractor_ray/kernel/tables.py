@@ -35,6 +35,7 @@ __all__ = [
     "merge_table_data_safely",
     "merge_multi_page_tables",
     "process_and_merge_tables",
+    "MERGE_STRATEGIES",
     "marker_table_similarity",
     "parse_table_data",
     "camelot_to_pymupdf_coords",
@@ -221,6 +222,9 @@ _STRATEGY_THRESHOLDS = {
     "conservative": CONFIG.merge_conservative,
     "aggressive": CONFIG.merge_aggressive,
 }
+
+# Every valid ``merge_strategy`` name; "none" skips the merge.
+MERGE_STRATEGIES = ("none", *_STRATEGY_THRESHOLDS)
 
 
 def process_and_merge_tables(

@@ -3,30 +3,28 @@
 Shape (SURVEY.md §3.5):
 
     read_parquet(pages)                       # column-pruned read
-      -> map_batches(extract_batch)           # stateless tasks (default)
+      -> map_batches(extract_batch)           # stateless tasks, batch_size=128
       -> write_parquet + lineage sidecars     # resumable (state/lineage.py)
 
 Skew & memory design (measured on the 100k-row bench corpus, where the
 ~2.5% giant documents are ~80% of the bytes):
 
-  - **Bounded batches.** The default is a modest row cap,
+  - **Bounded batches.** The stage takes a modest row cap,
     ``batch_size=128``, so a batch's *byte* size is bounded by 128x the
     largest document. ``batch_size=None`` instead takes whole blocks,
     which Ray has already split to ``target_max_block_size`` bytes, so
     a run of multi-MB documents lands in a small-row batch. Either way
     a batch's byte size is bounded. This is the single-read answer to
     size skew; the streaming executor's backpressure does the rest.
-  - **Optional two-lane split** (``split_by_size=True``): for extreme
-    skew (hundreds-of-MB PDFs) the giant lane gets its own stage with
-    ``batch_size=giant_batch_size`` and (optionally) an actor pool with
-    reserved memory. Costs a second pass over the input metadata (both
-    lanes re-read), so it's off by default.
-  - **Tasks vs actors.** The extraction kernel holds no per-worker
-    state beyond module imports (compiled regexes), so stateless tasks
-    are the right default — elastic, no pool sizing. A warmed-state
-    parser (spaCy/pdfminer analog, SURVEY.md §2.3 A2/A3) is the
-    ``use_actor_pool=True`` path: a fixed-size ``ExtractDocuments`` pool
-    sized to cpus-2 so read/write stages keep breathing room.
+  - **One lane.** A two-lane split that gave the giant documents
+    (``GIANT_PAYLOAD_BYTES`` and up) their own stage read the input
+    twice; on the ``cc_mix_write`` benchmark workload (1 CPU) it ran at
+    about half the docs/s of the single stage (226-231 vs 425-479).
+  - **Tasks, not actors.** The kernel holds no per-worker state beyond
+    module imports (compiled regexes), so stateless tasks need no pool
+    sizing. A fixed actor pool of ``max(2, CPUs - 2)`` reserved its
+    CPUs up front and could not be placed on a 1-CPU host: the same
+    benchmark hung until its timeout on every run.
 
 Parallelism note: read parallelism is bounded by input granularity
 (files x row groups). The corpus writer emits 1024-row groups so local
@@ -37,102 +35,50 @@ this single socket saturates on memory bandwidth (see BASELINE.md).
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
-
-import pyarrow as pa
-import pyarrow.compute as pc
 
 import ray.data
 
-from pdf_extractor_ray.stages.extract_stage import ExtractDocuments, extract_batch
+from pdf_extractor_ray.config import CONFIG
+from pdf_extractor_ray.kernel.tables import MERGE_STRATEGIES
+from pdf_extractor_ray.stages.extract_stage import extract_batch
 
 __all__ = ["extract_pages", "run_resumable_extraction", "GIANT_PAYLOAD_BYTES"]
 
-from pdf_extractor_ray.config import CONFIG
-
-# Payloads above this byte length go to the giant lane when the
-# two-lane split is enabled (GRAFT_GIANT_PAYLOAD_BYTES overrides).
+# Payloads of at least this many bytes are the "giant" documents of the
+# size-skew notes above (GRAFT_GIANT_PAYLOAD_BYTES overrides).
 GIANT_PAYLOAD_BYTES = CONFIG.giant_payload_bytes
 
 _PAGE_COLUMNS = ["url", "warc_ts", "html", "text", "lang"]
-
-
-def _filter_by_size(small: bool):
-    threshold = GIANT_PAYLOAD_BYTES
-
-    def fn(batch: pa.Table) -> pa.Table:
-        sizes = pc.fill_null(pc.binary_length(batch["html"]), 0)
-        mask = (
-            pc.less(sizes, threshold) if small else pc.greater_equal(sizes, threshold)
-        )
-        return batch.filter(mask)
-
-    return fn
 
 
 def extract_pages(
     source: "str | list[str] | ray.data.Dataset",
     merge_strategy: str = "conservative",
     batch_size: Optional[int] = 128,
-    split_by_size: bool = False,
-    use_actor_pool: bool = False,
-    giant_batch_size: int = 4,
-    concurrency: Optional[int] = None,
     finalize: bool = False,
 ) -> ray.data.Dataset:
     """Build the (lazy) extraction pipeline over a pages table.
 
     ``source`` is a parquet path/paths or an existing Dataset with the
     pages schema. Returns the lazy extraction Dataset — consume it with
-    ``write_parquet`` / ``iter_batches`` / an aggregate.
-
-    ``concurrency`` is the TOTAL actor budget across lanes: with
-    ``split_by_size`` the two actor-pool lanes each get half. Fixed
-    actor pools RESERVE their CPUs, so two full-size pools on a small
-    cluster would starve the upstream read tasks and deadlock the
-    pipeline — per-lane sizing keeps scheduling headroom.
+    ``write_parquet`` / ``iter_batches`` / an aggregate. An unknown
+    ``merge_strategy`` raises ``ValueError`` before anything is read.
     """
+    if merge_strategy not in MERGE_STRATEGIES:
+        raise ValueError(
+            f"unknown merge_strategy {merge_strategy!r}; "
+            f"expected one of {MERGE_STRATEGIES}"
+        )
     if isinstance(source, ray.data.Dataset):
         ds = source
     else:
         ds = ray.data.read_parquet(source, columns=_PAGE_COLUMNS)
-
-    n_lanes = 2 if split_by_size else 1
-
-    def stage(inp: ray.data.Dataset, bs: Optional[int]) -> ray.data.Dataset:
-        if use_actor_pool:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-            total = concurrency if concurrency is not None else max(2, cpus - 2)
-            pool = max(1, total // n_lanes)
-            return inp.map_batches(
-                ExtractDocuments,
-                fn_constructor_kwargs={
-                    "merge_strategy": merge_strategy,
-                    "finalize": finalize,
-                },
-                batch_format="pyarrow",
-                batch_size=bs,
-                concurrency=pool,
-            )
-        import functools
-
-        fn = functools.partial(
-            extract_batch, merge_strategy=merge_strategy, finalize=finalize
-        )
-        return inp.map_batches(fn, batch_format="pyarrow", batch_size=bs)
-
-    if not split_by_size:
-        return stage(ds, batch_size)
-
-    small = stage(
-        ds.map_batches(_filter_by_size(small=True), batch_format="pyarrow"),
-        batch_size,
+    fn = functools.partial(
+        extract_batch, merge_strategy=merge_strategy, finalize=finalize
     )
-    giant = stage(
-        ds.map_batches(_filter_by_size(small=False), batch_format="pyarrow"),
-        giant_batch_size,
-    )
-    return small.union(giant)
+    return ds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size)
 
 
 def run_resumable_extraction(

@@ -1,1 +1,1 @@
-"""Ray Data stages: map_batches callables (stateless tasks + actor pools)."""
+"""Ray Data stages: map_batches callables run as stateless tasks."""

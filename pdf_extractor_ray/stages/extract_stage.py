@@ -1,4 +1,4 @@
-"""The extraction map_batches stage (actor pool).
+"""The extraction map_batches stage.
 
 One batch in = one ``pyarrow.Table`` of pages rows (zero-copy from the
 object store); one batch out = extraction rows with a typed nested
@@ -7,10 +7,10 @@ object store); one batch out = extraction rows with a typed nested
 merging — that cannot be vectorized across documents; SURVEY.md §7.4);
 all the per-cell work inside a document is handled by the kernel.
 
-The class form makes this an actor-pool stage
-(``map_batches(ExtractDocuments, concurrency=N, batch_size=B)``): module
-import, regex compilation and schema construction are amortized once per
-actor instead of once per task (SURVEY.md §2.3 A1-A3 pattern).
+``extract_batch`` is a plain function run as stateless tasks
+(``map_batches(extract_batch, batch_size=128)``): the kernel's only
+per-worker state is module imports and compiled regexes, which each
+worker process loads once.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import pyarrow as pa
 
 from pdf_extractor_ray.kernel.extract import extract_document
 
-__all__ = ["ExtractDocuments", "ELEMENT_TYPE", "EXTRACT_SCHEMA", "extract_batch"]
+__all__ = ["ELEMENT_TYPE", "EXTRACT_SCHEMA", "extract_batch"]
 
 ELEMENT_TYPE = pa.struct(
     [
@@ -79,13 +79,3 @@ def extract_batch(
         rows.append(out)
     return pa.Table.from_pylist(rows, schema=EXTRACT_SCHEMA)
 
-
-class ExtractDocuments:
-    """Actor-pool callable for the extraction stage."""
-
-    def __init__(self, merge_strategy: str = "conservative", finalize: bool = False):
-        self.merge_strategy = merge_strategy
-        self.finalize = finalize
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return extract_batch(batch, self.merge_strategy, self.finalize)

@@ -26,6 +26,8 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
+from pdf_extractor_ray.kernel.tables import MERGE_STRATEGIES  # noqa: E402
+
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
@@ -33,14 +35,10 @@ def main() -> int:
                     help="parquet file, glob, or directory of pages shards")
     ap.add_argument("--output", required=True, help="output directory")
     ap.add_argument("--merge-strategy", default="conservative",
-                    choices=["conservative", "aggressive", "none"])
+                    choices=MERGE_STRATEGIES)
     ap.add_argument("--shard-size", type=int, default=1,
                     help="input files per output partition (resume unit)")
     ap.add_argument("--batch-size", type=int, default=128)
-    ap.add_argument("--actor-pool", action="store_true",
-                    help="use a fixed actor pool instead of stateless tasks")
-    ap.add_argument("--split-by-size", action="store_true",
-                    help="route giant payloads through their own lane")
     ap.add_argument("--partition-by", default=None,
                     help="comma-separated columns for hive-partitioned "
                          "output inside each shard (e.g. lang,kind)")
@@ -75,8 +73,6 @@ def main() -> int:
             args.partition_by.split(",") if args.partition_by else None
         ),
         batch_size=args.batch_size,
-        use_actor_pool=args.actor_pool,
-        split_by_size=args.split_by_size,
     )
     print(json.dumps(result))
     ray.shutdown()

@@ -91,14 +91,16 @@ class TestMinhashVerifyPaths:
 
         ds = _corpus(ray_session)
         a = (
-            minhash_dedup_pairs(ds, threshold=0.5, verify="bucket")
+            minhash_dedup_pairs(ds, threshold=0.5, auto_broadcast_max=0)
             .to_pandas()
             .sort_values(["doc_a", "doc_b"])
             .reset_index(drop=True)
         )
         ds2 = _corpus(ray_session)
         b = (
-            minhash_dedup_pairs(ds2, threshold=0.5, verify="broadcast")
+            minhash_dedup_pairs(
+                ds2, threshold=0.5, auto_broadcast_max=10_000_000
+            )
             .to_pandas()
             .sort_values(["doc_a", "doc_b"])
             .reset_index(drop=True)
@@ -109,7 +111,7 @@ class TestMinhashVerifyPaths:
         }
 
     def test_bucket_path_collects_nothing_on_driver(self, ray_session, monkeypatch):
-        """The 100 TB property: verify='bucket' must never call
+        """The 100 TB property: the bucket verify path must never call
         Dataset.to_pandas / take_all on candidate or text data."""
         import ray.data
 
@@ -129,16 +131,10 @@ class TestMinhashVerifyPaths:
             lambda self, *a, **k: (calls.append(1), orig_ta(self, *a, **k))[1],
         )
         ds = _corpus(ray_session)
-        out = dd.minhash_dedup_pairs(ds, threshold=0.5, verify="bucket")
+        out = dd.minhash_dedup_pairs(ds, threshold=0.5, auto_broadcast_max=0)
         n = out.count()
         assert calls == [], "bucket verify must not materialize on the driver"
         assert n == 5
-
-    def test_unknown_verify_mode_raises(self, ray_session):
-        from pdf_extractor_ray.functions.dedup import minhash_dedup_pairs
-
-        with pytest.raises(ValueError):
-            minhash_dedup_pairs(_corpus(ray_session), verify="nope")
 
 
 class TestIncrementalMinhash:
@@ -232,7 +228,7 @@ class TestIncrementalMinhash:
             lambda self, *a, **k: (calls.append(1), orig_ta(self, *a, **k))[1],
         )
         out = dd.incremental_minhash(
-            new, store, old, threshold=0.8, verify="bucket"
+            new, store, old, threshold=0.8, auto_broadcast_max=0
         )
         n = out.count()
         assert calls == [], "bucket verify must not materialize on the driver"
@@ -812,37 +808,42 @@ class TestContentChangeLog:
 
 
 class TestAutoVerifySelect:
-    def test_auto_matches_both_paths_and_switches(self, ray_session):
-        """verify='auto' takes broadcast under the candidate threshold
-        and bucket above it, and both give the bucket path's answer."""
+    def test_auto_matches_both_paths_and_switches(self, ray_session, monkeypatch):
+        """The counted candidate table picks broadcast under
+        ``auto_broadcast_max`` (the driver collects the pairs while
+        building the plan) and bucket above it (it collects nothing),
+        and the broadcast path and the default threshold give the
+        bucket path's answer."""
+        import pandas as pd
+        import ray.data
+
         from pdf_extractor_ray.functions import dedup as dd
 
-        ds = _corpus(ray_session)
-        want = (
-            dd.minhash_dedup_pairs(ds, threshold=0.5, verify="bucket")
-            .to_pandas()
-            .sort_values(["doc_a", "doc_b"])
-            .reset_index(drop=True)
+        collected = []
+        orig = ray.data.Dataset.to_pandas
+        monkeypatch.setattr(
+            ray.data.Dataset,
+            "to_pandas",
+            lambda self, *a, **k: (collected.append(1), orig(self, *a, **k))[1],
         )
-        lo = (
-            dd.minhash_dedup_pairs(
-                _corpus(ray_session), threshold=0.5, verify="auto",
-                auto_broadcast_max=10_000_000,
-            )
-            .to_pandas()
-            .sort_values(["doc_a", "doc_b"])
-            .reset_index(drop=True)
-        )
-        hi = (
-            dd.minhash_dedup_pairs(
-                _corpus(ray_session), threshold=0.5, verify="auto",
-                auto_broadcast_max=0,
-            )
-            .to_pandas()
-            .sort_values(["doc_a", "doc_b"])
-            .reset_index(drop=True)
-        )
-        import pandas as pd
 
+        def run(**kwargs):
+            collected.clear()
+            out = dd.minhash_dedup_pairs(
+                _corpus(ray_session), threshold=0.5, **kwargs
+            )
+            n_collects = len(collected)
+            got = (
+                out.to_pandas()
+                .sort_values(["doc_a", "doc_b"])
+                .reset_index(drop=True)
+            )
+            return got, n_collects
+
+        want, bucket_collects = run(auto_broadcast_max=0)
+        lo, broadcast_collects = run(auto_broadcast_max=10_000_000)
+        default, _ = run()
+        assert bucket_collects == 0
+        assert broadcast_collects > 0
         pd.testing.assert_frame_equal(lo, want)
-        pd.testing.assert_frame_equal(hi, want)
+        pd.testing.assert_frame_equal(default, want)

@@ -50,12 +50,23 @@ class TestBigramFamiliarity:
         assert got.loc[0, "fam_milli"] > got.loc[99, "fam_milli"]
         assert got.loc[99, "fam_sum"] == 0  # every bigram unique
 
-    def test_broadcast_and_exchange_paths_identical(self, ray_session):
+    def test_broadcast_and_exchange_paths_identical(self, ray_session, monkeypatch):
         """The head-broadcast path (absent bigram => lg 0) and the
         bigram-bucket cogroup path must agree bit for bit, including
         docs whose bigrams are ALL singletons (fam row comes from the
-        doc_totals union on the exchange path)."""
+        doc_totals union on the exchange path). ``broadcast_limit``
+        picks the path: a zero limit must take the exchange path, a
+        large one the broadcast path."""
+        from pdf_extractor_ray.functions import ngram_lm
         from pdf_extractor_ray.functions.ngram_lm import bigram_familiarity
+
+        broadcasts = []
+        real = ngram_lm._bigram_score_broadcast
+        monkeypatch.setattr(
+            ngram_lm,
+            "_bigram_score_broadcast",
+            lambda *a, **k: (broadcasts.append(1), real(*a, **k))[1],
+        )
 
         rng = np.random.default_rng(11)
         vocab = [f"w{i}" for i in range(50)]
@@ -69,8 +80,10 @@ class TestBigramFamiliarity:
         rows.append({"doc_id": 900, "text": "zzq yyx wwv uut"})  # all hapax
         ds = ray.data.from_arrow(pa.Table.from_pylist(rows))
         outs = {}
-        for path in ("broadcast", "exchange"):
-            got = bigram_familiarity(ds, count_path=path).to_pandas()
+        for path, limit in (("broadcast", 10**12), ("exchange", 0)):
+            broadcasts.clear()
+            got = bigram_familiarity(ds, broadcast_limit=limit).to_pandas()
+            assert len(broadcasts) == (path == "broadcast")
             outs[path] = (
                 got[sorted(got.columns)]
                 .sort_values("doc_id")
@@ -79,8 +92,8 @@ class TestBigramFamiliarity:
             )
         pd.testing.assert_frame_equal(outs["broadcast"], outs["exchange"])
         assert 900 in set(outs["broadcast"]["doc_id"])
-        # auto with a zero limit must take the exchange path and agree
-        got = bigram_familiarity(ds, broadcast_limit=0).to_pandas()
+        # the default limit must agree too
+        got = bigram_familiarity(ds).to_pandas()
         got = (
             got[sorted(got.columns)]
             .sort_values("doc_id")

@@ -1,6 +1,5 @@
-"""Pipeline execution-lane equivalence: the two-lane size split and the
-actor-pool stage must produce byte-identical results to the default
-stateless-task lane (only scheduling differs, never semantics).
+"""Pipeline options: merge strategies, finalize mode, keyed output,
+and their combinations, each against the default extraction stage.
 """
 
 import pytest
@@ -33,32 +32,6 @@ class TestLaneEquivalence:
     def test_baseline_complete(self, baseline):
         assert len(baseline) == N_ROWS
 
-    def test_split_by_size_lane(self, ray_session, corpus_dir, baseline):
-        got = _extract_map(ray_session, corpus_dir, split_by_size=True)
-        assert got == baseline
-
-    def test_split_by_size_routes_giants(self, ray_session, corpus_dir):
-        # the giant lane actually receives rows on this corpus
-        import pyarrow.dataset as pads
-        import pyarrow.compute as pc
-
-        from pdf_extractor_ray.pipelines.extract_pipeline import (
-            GIANT_PAYLOAD_BYTES,
-        )
-
-        t = pads.dataset(corpus_dir).to_table(columns=["html"])
-        sizes = pc.fill_null(pc.binary_length(t["html"]), 0)
-        n_giant = pc.sum(
-            pc.cast(pc.greater_equal(sizes, GIANT_PAYLOAD_BYTES), "int64")
-        ).as_py()
-        assert n_giant > 0
-
-    def test_actor_pool_lane(self, ray_session, corpus_dir, baseline):
-        got = _extract_map(
-            ray_session, corpus_dir, use_actor_pool=True, concurrency=2
-        )
-        assert got == baseline
-
     def test_merge_strategy_none_differs_only_in_tables(
         self, ray_session, corpus_dir, baseline
     ):
@@ -68,6 +41,27 @@ class TestLaneEquivalence:
         changed = [u for u in got if got[u] != baseline[u]]
         for u in changed:
             assert got[u][2] >= baseline[u][2]  # unmerged keeps more tables
+
+    def test_unknown_merge_strategy_raises_before_read(
+        self, ray_session, corpus_dir, monkeypatch
+    ):
+        """A misspelt strategy must not silently run as conservative."""
+        import ray.data
+
+        from pdf_extractor_ray.kernel.extract import extract_document
+        from pdf_extractor_ray.pipelines import extract_pages
+        from pdf_extractor_ray.sources.corpus import make_page_row
+
+        reads = []
+        monkeypatch.setattr(
+            ray.data, "read_parquet", lambda *a, **k: reads.append(a)
+        )
+        with pytest.raises(ValueError, match="agressive"):
+            extract_pages(corpus_dir, merge_strategy="agressive")
+        assert reads == []
+        # the per-document kernel keeps its never-raise contract
+        row = extract_document(**make_page_row(7), merge_strategy="agressive")
+        assert row["status"] in ("ok", "error")
 
 
 class TestFinalizeMode:
@@ -87,9 +81,7 @@ class TestFinalizeMode:
 class TestCombinedFlags:
     def test_all_options_together_keep_url_set(self, ray_session, corpus_dir, baseline):
         got = _extract_map(
-            ray_session, corpus_dir,
-            split_by_size=True, use_actor_pool=True, concurrency=2,
-            finalize=True, merge_strategy="aggressive",
+            ray_session, corpus_dir, finalize=True, merge_strategy="aggressive"
         )
         assert set(got) == set(baseline)
         assert all(v[1] in ("ok", "error") for v in got.values())

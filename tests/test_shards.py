@@ -325,12 +325,13 @@ def test_actor_processes_import_only_the_shards_module(tmp_path):
 
 
 def test_spawn_and_kill_live_only_in_shards_module():
-    """Only shards.py may call ray.kill / ray.cluster_resources under
-    functions/, so no operator hand-rolls its own actor lifecycle or
-    shard-count default."""
+    """Only functions/shards.py may call ray.kill / ray.cluster_resources
+    in the package, so no operator or pipeline hand-rolls its own actor
+    lifecycle or CPU-count default."""
+    shards_py = FUNCTIONS / "shards.py"
     offenders = []
-    for path in sorted(FUNCTIONS.glob("*.py")):
-        if path.name == "shards.py":
+    for path in sorted(FUNCTIONS.parent.rglob("*.py")):
+        if path == shards_py:
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             if (
@@ -340,5 +341,7 @@ def test_spawn_and_kill_live_only_in_shards_module():
                 and node.func.value.id == "ray"
                 and node.func.attr in ("kill", "cluster_resources")
             ):
-                offenders.append(f"{path.name}:{node.lineno}")
+                offenders.append(
+                    f"{path.relative_to(FUNCTIONS.parent)}:{node.lineno}"
+                )
     assert offenders == []
