@@ -33,6 +33,7 @@ from pdf_extractor_ray.functions.common import (
     coalesce_for_exchange,
     sized_read_parquet as _rp,
 )
+from pdf_extractor_ray.functions.exchange import cogroup, exchange_width
 
 # ----------------------------------------------------------------- util
 
@@ -2247,7 +2248,6 @@ def _q_cluster_safe_split(sf_dir: str):
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {
-                "_b": pa.array(ids % 64, pa.int64()),
                 "doc_id": pa.array(ids, pa.int64()),
                 "key": pa.array(np.full(len(ids), -1), pa.int64()),
             }
@@ -2257,7 +2257,6 @@ def _q_cluster_safe_split(sf_dir: str):
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {
-                "_b": pa.array(ids % 64, pa.int64()),
                 "doc_id": pa.array(ids, pa.int64()),
                 "key": batch["cluster_id"].cast(pa.int64()),
             }
@@ -2285,16 +2284,15 @@ def _q_cluster_safe_split(sf_dir: str):
             }
         )
 
-    assigned = (
-        docs.map_batches(
-            lambda b: tag_doc(b.select(["doc_id"])),
-            batch_format="pyarrow",
-        )
-        .union(
-            clusters.map_batches(tag_cluster, batch_format="pyarrow")
-        )
-        .groupby("_b")
-        .map_groups(assign, batch_format="pandas")
+    tagged = docs.map_batches(
+        lambda b: tag_doc(b.select(["doc_id"])), batch_format="pyarrow"
+    ).union(clusters.map_batches(tag_cluster, batch_format="pyarrow"))
+    assigned = cogroup(
+        {"group": (tagged, "doc_id")},
+        lambda group: assign(group.to_pandas()),
+        pa.schema([("doc_id", pa.int64()), ("key", pa.int64()), ("split", pa.string())]),
+        n_buckets=64,
+        coalesce=False,
     )
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -2781,7 +2779,6 @@ def _q_q3_top_orders(sf_dir: str):
         g = df.groupby("l_orderkey", as_index=False).agg(
             revenue_c=("rev_c", "sum")
         )
-        g["_bucket"] = g["l_orderkey"] % 256
         return pa.Table.from_pandas(g, preserve_index=False)
 
     # Coarse orderkey-bucket exchange, in-bucket merge, and per-bucket
@@ -2796,12 +2793,12 @@ def _q_q3_top_orders(sf_dir: str):
             ["revenue_c", "l_orderkey"], ascending=[False, True]
         ).head(10)
 
-    per_order = (
-        coalesce_for_exchange(
-            lineitem.map_batches(partial, batch_format="pyarrow")
-        )
-        .groupby("_bucket")
-        .map_groups(bucket_topk, batch_format="pandas")
+    per_order = cogroup(
+        {"group": (lineitem.map_batches(partial, batch_format="pyarrow"), "l_orderkey")},
+        lambda group: bucket_topk(group.to_pandas()),
+        lambda group: group,
+        n_buckets=256,
+        coalesce=True,
     )
     return per_order.sort(
         ["revenue_c", "l_orderkey"], descending=[True, False]
@@ -2872,7 +2869,6 @@ def _q_events_pivot(sf_dir: str):
                 pv[t] = 0
         pv = pv[types].reset_index()
         pv.columns = ["user_id"] + cols
-        pv["_bucket"] = pv["user_id"] % 256
         return pa.Table.from_pandas(pv, preserve_index=False)
 
     # coarse user-bucket exchange + in-bucket merge (user-cardinality
@@ -2880,10 +2876,12 @@ def _q_events_pivot(sf_dir: str):
     def merge(group: pd.DataFrame) -> pd.DataFrame:
         return group.groupby("user_id", as_index=False)[cols].sum()
 
-    return (
-        coalesce_for_exchange(events.map_batches(partial, batch_format="pyarrow"))
-        .groupby("_bucket")
-        .map_groups(merge, batch_format="pandas")
+    return cogroup(
+        {"group": (events.map_batches(partial, batch_format="pyarrow"), "user_id")},
+        lambda group: merge(group.to_pandas()),
+        lambda group: group,
+        n_buckets=256,
+        coalesce=True,
     )
 
 
@@ -4552,7 +4550,6 @@ def _q_crawl_admission(sf_dir: str):
                 pa.field("canonical", pa.string()),
                 pa.field("n_admitted", pa.int64()),
                 pa.field("min_doc", pa.int64()),
-                pa.field("_bucket", pa.int64()),
             ]
         )
         df = pd.DataFrame(
@@ -4563,9 +4560,6 @@ def _q_crawl_admission(sf_dir: str):
         g = df.groupby("canonical", as_index=False).agg(
             n_admitted=("doc", "size"), min_doc=("doc", "min")
         )
-        g["_bucket"] = pd.util.hash_array(
-            g["canonical"].to_numpy(dtype=object)
-        ).astype("int64") % 64
         return pa.Table.from_pandas(g, preserve_index=False).cast(schema)
 
     def merge(group: pd.DataFrame) -> pd.DataFrame:
@@ -4574,10 +4568,12 @@ def _q_crawl_admission(sf_dir: str):
         )
         return out
 
-    return (
-        gated.map_batches(admit, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(merge, batch_format="pandas")
+    return cogroup(
+        {"group": (gated.map_batches(admit, batch_format="pyarrow"), "canonical")},
+        lambda group: merge(group.to_pandas()),
+        lambda group: group,
+        n_buckets=64,
+        coalesce=False,
     )
 
 
@@ -5495,10 +5491,6 @@ def _q_holdout_split(sf_dir: str):
     md5-permille rule the oracle replays exactly."""
     import pandas as pd
 
-    from pdf_extractor_ray.functions.common import (
-        bucket_ids,
-        coalesce_for_exchange,
-    )
     from pdf_extractor_ray.functions.sampling import domain_holdout_split
     from pdf_extractor_ray.functions.weburl import add_host
 
@@ -5520,7 +5512,6 @@ def _q_holdout_split(sf_dir: str):
                 "host": pa.array(hosts, pa.string()),
                 "split": pa.array(df["split"].tolist(), pa.string()),
                 "n": pa.array(df["size"].to_numpy(), pa.int64()),
-                "_bucket": pa.array(bucket_ids(hosts, 256), pa.int64()),
             }
         )
 
@@ -5530,10 +5521,12 @@ def _q_holdout_split(sf_dir: str):
             n_docs=("n", "sum"), n_hosts=("host", "size")
         )
 
-    per_bucket = (
-        coalesce_for_exchange(docs.map_batches(partial, batch_format="pyarrow"))
-        .groupby("_bucket")
-        .map_groups(merge, batch_format="pandas")
+    per_bucket = cogroup(
+        {"group": (docs.map_batches(partial, batch_format="pyarrow"), "host")},
+        lambda group: merge(group.to_pandas()),
+        pa.schema([("split", pa.string()), ("n_docs", pa.int64()), ("n_hosts", pa.int64())]),
+        n_buckets=256,
+        coalesce=True,
     )
     from ray.data.aggregate import Sum
 
@@ -5702,7 +5695,6 @@ def _q_group_topk(sf_dir: str):
         g = df.groupby(["event_type", "user_id"], as_index=False).agg(
             n_events=("user_id", "size")
         )
-        g["_ubucket"] = g["user_id"] % 256
         return pa.Table.from_pandas(g, preserve_index=False)
 
     def merge(group: pd.DataFrame) -> pd.DataFrame:
@@ -5710,10 +5702,12 @@ def _q_group_topk(sf_dir: str):
             n_events=("n_events", "sum")
         )
 
-    counted = (
-        coalesce_for_exchange(events.map_batches(partial, batch_format="pyarrow"))
-        .groupby("_ubucket")
-        .map_groups(merge, batch_format="pandas")
+    counted = cogroup(
+        {"group": (events.map_batches(partial, batch_format="pyarrow"), "user_id")},
+        lambda group: merge(group.to_pandas()),
+        lambda group: group,
+        n_buckets=256,
+        coalesce=True,
     )
     return topk_per_group(
         counted, group_col="event_type", order_col="n_events",
@@ -6658,14 +6652,27 @@ def _q_kfold_split(sf_dir: str):
         ]
         return batch.append_column("_lf", pa.array(lf, pa.string()))
 
-    return (
-        folded.map_batches(partial, batch_format="pyarrow")
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("_lf")
-        .map_groups(
-            lambda g: merge(g.drop(columns=["_lf"])),
-            batch_format="pandas",
+    def merge_cells(rows: pa.Table) -> pd.DataFrame:
+        return pd.concat(
+            [merge(g) for _, g in rows.to_pandas().groupby("_lf", sort=False)]
         )
+
+    return cogroup(
+        {
+            "rows": (
+                folded.map_batches(partial, batch_format="pyarrow").map_batches(
+                    tag, batch_format="pyarrow"
+                ),
+                "_lf",
+            )
+        },
+        merge_cells,
+        pa.schema(
+            [("lang", pa.string()), ("fold", pa.int64()), ("n_rows", pa.int64()),
+             ("ids_md5", pa.string())]
+        ),
+        n_buckets=exchange_width(),
+        coalesce=False,
     )
 
 
@@ -6829,55 +6836,41 @@ def _q_authority_topk(sf_dir: str):
     # doc-bucket cogroup join (both sides node-sized; nothing broadcast)
     nb = 64
 
-    def tag_rank(batch: pa.Table) -> pa.Table:
-        d = batch["doc_id"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "doc_id": d,
-                "rank_u": batch["rank_u"],
-                "lang": pa.array([""] * len(d), pa.string()),
-                "n_chars": pa.array(np.zeros(len(d), np.int64)),
-                "side": pa.array(np.zeros(len(d), np.int8)),
-                "bucket": pa.array(np.abs(d) % nb),
-            }
-        )
-
     def tag_docs(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as _pc
 
         flt = batch.filter(_pc.greater_equal(batch["n_chars"], 500))
-        d = flt["doc_id"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "doc_id": d,
-                "rank_u": pa.array(np.zeros(len(d), np.int64)),
-                "lang": flt["lang"],
-                "n_chars": flt["n_chars"].cast(pa.int64()),
-                "side": pa.array(np.ones(len(d), np.int8)),
-                "bucket": pa.array(np.abs(d) % nb),
-            }
-        )
+        return flt.select(["doc_id", "lang", "n_chars"])
 
-    def join_topk(group: pd.DataFrame) -> pd.DataFrame:
-        r = group[group["side"] == 0][["doc_id", "rank_u"]]
-        d = group[group["side"] == 1][["doc_id", "lang", "n_chars"]]
-        m = d.merge(r, on="doc_id")
+    def join_topk(r: pa.Table, d: pa.Table) -> pd.DataFrame:
+        m = d.to_pandas().merge(r.to_pandas(), on="doc_id")
         # per-bucket prune to the bucket's own top 20: the global
         # top 20 is a subset of the per-bucket top 20s
         return m.sort_values(
             ["rank_u", "doc_id"], ascending=[False, True]
         ).head(20)
 
-    cand = (
-        coalesce_for_exchange(
-            ranks.map_batches(tag_rank, batch_format="pyarrow").union(
-                docs.map_batches(tag_docs, batch_format="pyarrow")
-            )
-        )
-        .groupby("bucket")
-        .map_groups(join_topk, batch_format="pandas")
-        .to_pandas()  # <= 20 * n_buckets rows
-    )
+    i64 = pa.int64()
+    cand = cogroup(
+        {
+            "r": (
+                ranks.select_columns(["doc_id", "rank_u"]),
+                "doc_id",
+                pa.schema([("doc_id", i64), ("rank_u", i64)]),
+            ),
+            "d": (
+                docs.map_batches(tag_docs, batch_format="pyarrow"),
+                "doc_id",
+                pa.schema([("doc_id", i64), ("lang", pa.string()), ("n_chars", i64)]),
+            ),
+        },
+        join_topk,
+        pa.schema(
+            [("doc_id", i64), ("lang", pa.string()), ("n_chars", i64), ("rank_u", i64)]
+        ),
+        n_buckets=nb,
+        coalesce=True,
+    ).to_pandas()  # <= 20 * n_buckets rows
     out = cand.sort_values(
         ["rank_u", "doc_id"], ascending=[False, True]
     ).head(20)
@@ -7729,7 +7722,6 @@ def _q_frame_sample(sf_dir: str):
         g = df.groupby("media_id", as_index=False).agg(
             n_frames=("media_id", "size")
         )
-        g["_bucket"] = g["media_id"] % 256
         return pa.Table.from_pandas(g, preserve_index=False)
 
     def merge(group: pd.DataFrame) -> pd.DataFrame:
@@ -7737,14 +7729,17 @@ def _q_frame_sample(sf_dir: str):
             n_frames=("n_frames", "sum")
         )
 
-    return (
-        coalesce_for_exchange(
-            frames.map_batches(
-                count_in_batch, batch_format="pyarrow", batch_size=None
+    return cogroup(
+        {
+            "group": (
+                frames.map_batches(count_in_batch, batch_format="pyarrow", batch_size=None),
+                "media_id",
             )
-        )
-        .groupby("_bucket")
-        .map_groups(merge, batch_format="pandas")
+        },
+        lambda group: merge(group.to_pandas()),
+        lambda group: group,
+        n_buckets=256,
+        coalesce=True,
     )
 
 

@@ -51,7 +51,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from .common import bucket_ids, coalesce_for_exchange
+from .exchange import cogroup
 
 __all__ = ["tfidf_cosine_pairs", "containment_pairs"]
 
@@ -107,17 +107,26 @@ def _bucket_sum(
             k = k * np.int64(1_000_003) + batch[keys[1]].to_numpy(
                 zero_copy_only=False
             ).astype(np.int64)
-        return batch.append_column("_b", pa.array(bucket_ids(k, n_buckets)))
+        return batch.append_column("_k", pa.array(k))
 
     def sum_in_bucket(group: pd.DataFrame) -> pd.DataFrame:
         out = group.groupby(list(keys), as_index=False)[val].sum()
         return out.rename(columns={val: alias}).astype(np.int64)
 
-    return (
-        coalesce_for_exchange(ds.map_batches(tag, batch_format="pyarrow"))
-        .groupby("_b")
-        .map_groups(sum_in_bucket, batch_format="pandas")
+    return cogroup(
+        {"group": (ds.map_batches(tag, batch_format="pyarrow"), "_k")},
+        lambda group: sum_in_bucket(group.to_pandas()),
+        pa.schema([(c, pa.int64()) for c in (*keys, alias)]),
+        n_buckets=n_buckets,
+        coalesce=True,
     )
+
+
+def _mixed_schema(val: str) -> pa.Schema:
+    """Per-gram output of the pair joins: kind 0 rows carry a per-doc
+    partial, kind 1 rows a per-pair partial."""
+    i64 = pa.int64()
+    return pa.schema([("kind", pa.int8()), ("doc_a", i64), ("doc_b", i64), (val, i64)])
 
 
 def _pair_indices(starts: np.ndarray, sizes: np.ndarray):
@@ -165,15 +174,12 @@ def tfidf_cosine_pairs(
             out_g.extend(counts.keys())
             out_d.extend([int(did)] * len(counts))
             out_tf.extend(counts.values())
-        t = pa.table(
+        return pa.table(
             {
                 "gram": pa.array(out_g, pa.string()),
                 "doc_id": pa.array(out_d, pa.int64()),
                 "tf": pa.array(out_tf, pa.int64()),
             }
-        )
-        return t.append_column(
-            "_bucket", pa.array(bucket_ids(t["gram"], n_buckets))
         )
 
     def per_gram(group: pd.DataFrame) -> pd.DataFrame:
@@ -183,14 +189,7 @@ def tfidf_cosine_pairs(
         loop was 15x the runtime at 160k grams/bucket)."""
         g, starts, sizes = _band_spans(group, df_cap)
         if not len(starts):
-            return pd.DataFrame(
-                {
-                    "kind": pd.Series([], dtype=np.int8),
-                    "doc_a": pd.Series([], dtype=np.int64),
-                    "doc_b": pd.Series([], dtype=np.int64),
-                    "dot": pd.Series([], dtype=np.int64),
-                }
-            )
+            return None
         in_band = np.zeros(len(g), bool)
         row_df = np.zeros(len(g), np.int64)
         idx = np.repeat(starts, sizes) + _concat_aranges(sizes)
@@ -219,16 +218,20 @@ def tfidf_cosine_pairs(
         cols = ["kind", "doc_a", "doc_b", "dot"]
         return pd.concat([norm[cols], pairs[cols]], ignore_index=True)
 
-    mixed = (
-        coalesce_for_exchange(
-            docs.select_columns([id_col, text_col]).map_batches(
-                gram_rows, batch_format="pyarrow"
+    mixed = cogroup(
+        {
+            "group": (
+                docs.select_columns([id_col, text_col]).map_batches(
+                    gram_rows, batch_format="pyarrow"
+                ),
+                "gram",
             )
-        )
-        .groupby("_bucket")
-        .map_groups(per_gram, batch_format="pandas")
-        .materialize()  # consumed twice: norm lane + pair lane
-    )
+        },
+        lambda group: per_gram(group.to_pandas()),
+        _mixed_schema("dot"),
+        n_buckets=n_buckets,
+        coalesce=True,
+    ).materialize()  # consumed twice: norm lane + pair lane
 
     def norm_lane(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -319,14 +322,11 @@ def containment_pairs(
                 seen.add(f"{ws[i]} {ws[i+1]} {ws[i+2]}")
             out_g.extend(seen)
             out_d.extend([int(did)] * len(seen))
-        t = pa.table(
+        return pa.table(
             {
                 "gram": pa.array(out_g, pa.string()),
                 "doc_id": pa.array(out_d, pa.int64()),
             }
-        )
-        return t.append_column(
-            "_bucket", pa.array(bucket_ids(t["gram"], n_buckets))
         )
 
     def per_gram(group: pd.DataFrame) -> pd.DataFrame:
@@ -334,14 +334,7 @@ def containment_pairs(
         pair expansion, no per-gram loop."""
         g, starts, sizes = _band_spans(group, df_cap)
         if not len(starts):
-            return pd.DataFrame(
-                {
-                    "kind": pd.Series([], dtype=np.int8),
-                    "doc_a": pd.Series([], dtype=np.int64),
-                    "doc_b": pd.Series([], dtype=np.int64),
-                    "n": pd.Series([], dtype=np.int64),
-                }
-            )
+            return None
         d_all = g["doc_id"].to_numpy(np.int64)
         band_idx = np.repeat(starts, sizes) + _concat_aranges(sizes)
         size = (
@@ -361,16 +354,20 @@ def containment_pairs(
         cols = ["kind", "doc_a", "doc_b", "n"]
         return pd.concat([size[cols], pair[cols]], ignore_index=True)
 
-    mixed = (
-        coalesce_for_exchange(
-            docs.select_columns([id_col, text_col]).map_batches(
-                gram_rows, batch_format="pyarrow"
+    mixed = cogroup(
+        {
+            "group": (
+                docs.select_columns([id_col, text_col]).map_batches(
+                    gram_rows, batch_format="pyarrow"
+                ),
+                "gram",
             )
-        )
-        .groupby("_bucket")
-        .map_groups(per_gram, batch_format="pandas")
-        .materialize()  # consumed twice: size lane + pair lane
-    )
+        },
+        lambda group: per_gram(group.to_pandas()),
+        _mixed_schema("n"),
+        n_buckets=n_buckets,
+        coalesce=True,
+    ).materialize()  # consumed twice: size lane + pair lane
 
     def size_lane(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc

@@ -43,6 +43,8 @@ import pyarrow as pa
 
 import ray.data
 
+from .exchange import cogroup
+
 __all__ = ["export_token_bin_shards", "read_token_bin_manifest"]
 
 
@@ -95,12 +97,13 @@ def export_token_bin_shards(
             os.replace(tmp, path)
         return pd.DataFrame({"shard": [np.int64(s)]})
 
-    written = (
-        chunks.map_batches(tag, batch_format="pyarrow")
-        .groupby("_shard")
-        .map_groups(write_shard, batch_format="pandas")
-        .to_pandas()  # one row per shard
-    )
+    written = cogroup(
+        {"group": (chunks.map_batches(tag, batch_format="pyarrow"), "_shard")},
+        lambda group: write_shard(group.to_pandas()),
+        pa.schema([("shard", pa.int64())]),
+        n_buckets=n_shards,
+        coalesce=False,
+    ).to_pandas()  # one row per shard
     return sorted(int(s) for s in written["shard"])
 
 

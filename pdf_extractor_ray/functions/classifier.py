@@ -42,6 +42,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from pdf_extractor_ray.functions.exchange import cogroup
+
 __all__ = [
     "hash_feature",
     "train_hashed_linear",
@@ -120,15 +122,8 @@ def train_hashed_linear(
                 "c1": pa.array(
                     np.array([counts[f][1] for f in feats], dtype=np.int64)
                 ),
-                # coarse exchange key: 256 groups, each merged with ONE
-                # vectorized pandas groupby-sum (Ray's row-level
-                # Aggregate reduce is Python-per-row — measured 50x
-                # slower on the same partial stream)
-                "_bucket": pa.array(feats % 256),
             }
         )
-
-    from pdf_extractor_ray.functions.common import coalesce_for_exchange
 
     def merge(group: pd.DataFrame) -> pa.Table:
         g = group.groupby("feat", as_index=False)[["c0", "c1"]].sum()
@@ -143,14 +138,21 @@ def train_hashed_linear(
             }
         )
 
-    return (
-        coalesce_for_exchange(
-            ds.map_batches(
-                partial, batch_format="pyarrow", batch_size=None
+    # coarse exchange: 256 feature buckets, each merged with ONE
+    # vectorized pandas groupby-sum (Ray's row-level Aggregate reduce is
+    # Python-per-row — measured 50x slower on the same partial stream)
+    i64 = pa.int64()
+    return cogroup(
+        {
+            "group": (
+                ds.map_batches(partial, batch_format="pyarrow", batch_size=None),
+                "feat",
             )
-        )
-        .groupby("_bucket")
-        .map_groups(merge, batch_format="pandas")
+        },
+        lambda group: merge(group.to_pandas()),
+        pa.schema([("feat", i64), ("c0", i64), ("c1", i64), ("w", i64)]),
+        n_buckets=256,
+        coalesce=True,
     )
 
 

@@ -1,4 +1,11 @@
-"""Shared exchange-shape helpers for the corpus operators."""
+"""Shared helpers for the corpus operators: the bucket owner rule,
+the pre-exchange coalesce, and the size-proportional parquet read.
+
+The bucket exchange itself (bucket, tag, union, exchange, split) is
+:func:`pdf_extractor_ray.functions.exchange.cogroup`; its module
+docstring states the exchange contract. ``bucket_ids`` here is its
+owner rule.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +17,7 @@ import ray.data
 
 from .shards import cluster_cpus
 
-__all__ = ["coalesce_width", "coalesce_for_exchange", "bucket_ids", "sized_read_parquet"]
+__all__ = ["coalesce_for_exchange", "bucket_ids", "sized_read_parquet"]
 
 
 def bucket_ids(col, n_buckets: int) -> np.ndarray:
@@ -53,25 +60,16 @@ def bucket_ids(col, n_buckets: int) -> np.ndarray:
     return (h % np.uint64(n_buckets)).astype(np.int64)
 
 
-def coalesce_width() -> int:
-    """Target block count for pre-exchange coalesces: 2x cluster CPUs.
-
-    Sort-based groupby pays per-block reduce-task overhead, so a pile
-    of near-empty blocks (per-batch partial streams are usually tiny)
-    makes the exchange overhead-bound instead of data-bound; a local
-    no-shuffle coalesce keeps the partition count matched to the
-    cluster rather than to the upstream block count, and still scales
-    on a multi-node run (2 x total cores grows with the cluster).
-    Measured effects in BASELINE.md (round 2).
-    """
-    return max(16, 2 * cluster_cpus())
-
-
 def coalesce_for_exchange(ds: ray.data.Dataset) -> ray.data.Dataset:
-    """Local (no-shuffle) coalesce ahead of a groupby/sort exchange.
-    Use on NARROW pre-aggregated partial streams; full-row streams
-    should keep data-proportional block counts instead."""
-    return ds.repartition(coalesce_width(), shuffle=False)
+    """Local (no-shuffle) coalesce to ``exchange.exchange_width()``
+    blocks ahead of an exchange that is not a bucket cogroup (a groupby
+    on a real data column, an aggregate). Use on NARROW pre-aggregated
+    partial streams; full-row streams keep data-proportional block
+    counts. ``exchange.cogroup`` applies the same rule through its
+    ``coalesce`` argument."""
+    from .exchange import exchange_width
+
+    return ds.repartition(exchange_width(), shuffle=False)
 
 
 def sized_read_parquet(path, columns=None, target_block_bytes: int = 32 * 1024 * 1024, **kwargs):

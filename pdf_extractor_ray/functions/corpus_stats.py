@@ -37,7 +37,7 @@ import pyarrow as pa
 
 import ray.data
 
-from .common import bucket_ids, coalesce_for_exchange
+from .exchange import cogroup
 
 __all__ = ["vocab_drift", "zipf_histogram", "corr_moments", "ks_statistic"]
 
@@ -67,14 +67,8 @@ def _word_counts(
         for t, b in zip(texts, sides):
             (cb if b else ca).update(_WORD_RE.findall((t or "").lower()))
         words = sorted(set(ca) | set(cb))
-        arr = np.asarray(words, dtype=object)
         return pa.table(
             {
-                "_bucket": pa.array(
-                    bucket_ids(arr, n_buckets)
-                    if words
-                    else np.empty(0, dtype=np.int64)
-                ),
                 "word": pa.array(words, pa.string()),
                 "n_a": pa.array([ca.get(w, 0) for w in words], pa.int64()),
                 "n_b": pa.array([cb.get(w, 0) for w in words], pa.int64()),
@@ -86,10 +80,12 @@ def _word_counts(
         out[["n_a", "n_b"]] = out[["n_a", "n_b"]].astype(np.int64)
         return out
 
-    return (
-        coalesce_for_exchange(ds.map_batches(partials, batch_format="pyarrow"))
-        .groupby("_bucket")
-        .map_groups(sum_in_bucket, batch_format="pandas")
+    return cogroup(
+        {"group": (ds.map_batches(partials, batch_format="pyarrow"), "word")},
+        lambda group: sum_in_bucket(group.to_pandas()),
+        pa.schema([("word", pa.string()), ("n_a", pa.int64()), ("n_b", pa.int64())]),
+        n_buckets=n_buckets,
+        coalesce=True,
     )
 
 
@@ -278,24 +274,29 @@ def ks_statistic(
         )
         g = df.groupby(["value", "is_b"], as_index=False).size()
         g = g.rename(columns={"size": "n"})
-        g["_bucket"] = bucket_ids(g["value"].to_numpy(np.int64), 64)
         return pa.Table.from_pandas(g, preserve_index=False)
 
     def fold(group: pd.DataFrame) -> pd.DataFrame:
         return group.groupby(["value", "is_b"], as_index=False)["n"].sum()
 
-    counts = (
-        coalesce_for_exchange(
-            ds.select_columns([side_col, value_col]).map_batches(
-                partial, batch_format="pyarrow"
+    counts = cogroup(
+        {
+            "group": (
+                ds.select_columns([side_col, value_col]).map_batches(
+                    partial, batch_format="pyarrow"
+                ),
+                "value",
             )
-        )
-        .groupby("_bucket")
-        .map_groups(fold, batch_format="pandas")
+        },
+        lambda group: fold(group.to_pandas()),
+        lambda group: pa.schema(
+            [group.field("value"), ("is_b", pa.int64()), ("n", pa.int64())]
+        ),
+        n_buckets=64,
+        coalesce=True,
         # driver fold bounded by the DISTINCT value domain of value_col
         # (per-value counts, not rows)
-        .to_pandas()
-    )
+    ).to_pandas()
     piv = (
         counts.pivot_table(
             index="value", columns="is_b", values="n", fill_value=0,

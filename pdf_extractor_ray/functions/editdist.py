@@ -41,7 +41,7 @@ import pyarrow as pa
 
 import ray.data
 
-from .common import bucket_ids, coalesce_for_exchange
+from .exchange import cogroup
 
 __all__ = ["levenshtein", "blocked_edit_distance", "edit_distance_clusters"]
 
@@ -133,11 +133,6 @@ def _blocked_pairs(
             kept.append(t)
         return pa.table(
             {
-                "_bucket": pa.array(
-                    bucket_ids(np.asarray(keys, dtype=object), n_buckets)
-                    if keys
-                    else np.empty(0, dtype=np.int64)
-                ),
                 "block": pa.array(keys, pa.string()),
                 "id": pa.array(keep_ids, pa.int64()),
                 "t": pa.array(kept, pa.string()),
@@ -169,14 +164,22 @@ def _blocked_pairs(
             }
         )
 
-    return (
-        coalesce_for_exchange(
-            ds.select_columns([id_col, text_col]).map_batches(
-                tag, batch_format="pyarrow"
+    i64 = pa.int64()
+    return cogroup(
+        {
+            "group": (
+                ds.select_columns([id_col, text_col]).map_batches(
+                    tag, batch_format="pyarrow"
+                ),
+                "block",
             )
-        )
-        .groupby("_bucket")
-        .map_groups(pairs_in_bucket, batch_format="pandas")
+        },
+        lambda group: pairs_in_bucket(group.to_pandas()),
+        pa.schema(
+            [("doc_a", i64), ("doc_b", i64), ("len_a", i64), ("len_b", i64), ("dist", i64)]
+        ),
+        n_buckets=n_buckets,
+        coalesce=True,
     )
 
 

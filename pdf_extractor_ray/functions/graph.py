@@ -47,7 +47,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from .common import coalesce_for_exchange
+from .exchange import cogroup
 from .shards import Shard, push, shard_actors
 
 __all__ = [
@@ -1639,28 +1639,6 @@ def mis(
 
 # ------------------------------------------------ bucket-exchange ops
 
-_MIX = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _bucket(ids: np.ndarray, n_buckets: int) -> np.ndarray:
-    """Deterministic coarse bucket for int64 node ids."""
-    return (
-        (ids.astype(np.uint64) * _MIX) % np.uint64(n_buckets)
-    ).astype(np.int64)
-
-
-# canonical_doc_ids' aligned narrow exchange schema: doc rows are
-# (key=id, side=0), drop rows are (key=id, side=1)
-_STEP_SCHEMA = pa.schema(
-    [
-        pa.field("key", pa.int64()),
-        pa.field("payload", pa.int64()),
-        pa.field("side", pa.int8()),
-        pa.field("bucket", pa.int64()),
-    ]
-)
-
-
 def canonical_doc_ids(
     doc_ids: ray.data.Dataset,
     clusters: ray.data.Dataset,
@@ -1677,45 +1655,28 @@ def canonical_doc_ids(
     30%-dup crawl cannot blow a single node. Output: Dataset[doc_id].
     """
 
-    def tag_docs(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "key": ids,
-                "payload": ids,
-                "side": np.zeros(len(ids), np.int8),
-                "bucket": _bucket(ids, n_buckets),
-            },
-            schema=_STEP_SCHEMA,
-        )
-
     def tag_drops(batch: pa.Table) -> pa.Table:
         t = batch.filter(
             pa.compute.not_equal(batch["doc_id"], batch["cluster_id"])
         )
-        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "key": ids,
-                "payload": ids,
-                "side": np.ones(len(ids), np.int8),
-                "bucket": _bucket(ids, n_buckets),
-            },
-            schema=_STEP_SCHEMA,
-        )
+        return pa.table({"key": t["doc_id"]})
 
-    def anti(group: pd.DataFrame) -> pd.DataFrame:
-        drop = set(group.loc[group["side"] == 1, "key"].tolist())
-        keep = group[(group["side"] == 0) & (~group["key"].isin(drop))]
+    def anti(docs: pa.Table, drops: pa.Table) -> pd.DataFrame:
+        drop = set(drops["key"].to_pylist())
+        keep = docs.to_pandas()
+        keep = keep[~keep["key"].isin(drop)]
         return pd.DataFrame({"doc_id": keep["key"].astype(np.int64)})
 
-    tagged = doc_ids.map_batches(tag_docs, batch_format="pyarrow").union(
-        clusters.map_batches(tag_drops, batch_format="pyarrow")
-    )
-    return (
-        coalesce_for_exchange(tagged)
-        .groupby("bucket")
-        .map_groups(anti, batch_format="pandas")
+    key = pa.schema([("key", pa.int64())])
+    return cogroup(
+        {
+            "docs": (doc_ids.select_columns([id_col]).rename_columns(["key"]), "key", key),
+            "drops": (clusters.map_batches(tag_drops, batch_format="pyarrow"), "key", key),
+        },
+        anti,
+        pa.schema([("doc_id", pa.int64())]),
+        n_buckets=n_buckets,
+        coalesce=True,
     )
 
 
@@ -1748,13 +1709,7 @@ def cocitation_topk(
         d = batch[dst].to_numpy(zero_copy_only=False).astype(np.int64)
         keep = s != d
         sd = np.unique(np.stack([s[keep], d[keep]], axis=1), axis=0)
-        return pa.table(
-            {
-                "bucket": _bucket(sd[:, 0], n_buckets),
-                "src": sd[:, 0],
-                "dst": sd[:, 1],
-            }
-        )
+        return pa.table({"src": sd[:, 0], "dst": sd[:, 1]})
 
     def pairs_in_bucket(group: pd.DataFrame) -> pd.DataFrame:
         """Per-source pair expansion WITHOUT a per-source Python loop:
@@ -1772,22 +1727,15 @@ def cocitation_topk(
         g = g.sort_values(["src", "dst"], kind="mergesort")
         srcs = g["src"].to_numpy(np.int64)
         dsts = g["dst"].to_numpy(np.int64)
-        empty = pd.DataFrame(
-            {
-                "x": pd.Series(dtype=np.int64),
-                "y": pd.Series(dtype=np.int64),
-                "n_common": pd.Series(dtype=np.int64),
-            }
-        )
         if not len(srcs):
-            return empty
+            return None
         bnd = np.flatnonzero(np.diff(srcs)) + 1
         starts = np.concatenate(([0], bnd))
         sizes = np.diff(np.concatenate((starts, [len(srcs)])))
         keep = (sizes >= 2) & (sizes <= max_out)
         starts, sizes = starts[keep], sizes[keep]
         if not len(starts):
-            return empty
+            return None
         ia, ib = _pair_indices(starts, sizes)
         out = (
             pd.DataFrame({"x": dsts[ia], "y": dsts[ib]})
@@ -1796,34 +1744,31 @@ def cocitation_topk(
         )
         return out.rename(columns={"size": "n_common"}).astype(np.int64)
 
-    per_bucket = (
-        coalesce_for_exchange(edges.map_batches(tag, batch_format="pyarrow"))
-        .groupby("bucket")
-        .map_groups(pairs_in_bucket, batch_format="pandas")
+    i64 = pa.int64()
+    counts = pa.schema([("x", i64), ("y", i64), ("n_common", i64)])
+    per_bucket = cogroup(
+        {"group": (edges.map_batches(tag, batch_format="pyarrow"), "src")},
+        lambda group: pairs_in_bucket(group.to_pandas()),
+        counts,
+        n_buckets=n_buckets,
+        coalesce=True,
     )
 
     def tag_pair(batch: pa.Table) -> pa.Table:
         x = batch["x"].to_numpy(zero_copy_only=False).astype(np.int64)
         y = batch["y"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "pbucket": _bucket(x * np.int64(1_000_003) + y, n_buckets),
-                "x": x,
-                "y": y,
-                "n_common": batch["n_common"].cast(pa.int64()),
-            }
-        )
+        return batch.append_column("_pk", pa.array(x * np.int64(1_000_003) + y))
 
     def sum_in_bucket(group: pd.DataFrame) -> pd.DataFrame:
         out = group.groupby(["x", "y"], as_index=False)["n_common"].sum()
         return out.astype(np.int64)
 
-    pair_counts = (
-        coalesce_for_exchange(
-            per_bucket.map_batches(tag_pair, batch_format="pyarrow")
-        )
-        .groupby("pbucket")
-        .map_groups(sum_in_bucket, batch_format="pandas")
+    pair_counts = cogroup(
+        {"group": (per_bucket.map_batches(tag_pair, batch_format="pyarrow"), "_pk")},
+        lambda group: sum_in_bucket(group.to_pandas()),
+        counts,
+        n_buckets=n_buckets,
+        coalesce=True,
     )
     return pair_counts.sort(
         ["n_common", "x", "y"], descending=[True, False, False]
@@ -1855,7 +1800,7 @@ def skipgram_pairs(
         w = batch["walk"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {
-                "bucket": _bucket(s * np.int64(1_000_003) + w, n_buckets),
+                "_wk": s * np.int64(1_000_003) + w,
                 "start": s,
                 "walk": w,
                 "step": batch["step"].cast(pa.int64()),
@@ -1885,13 +1830,7 @@ def skipgram_pairs(
             cs.append(nd[p + d])
             xs.append(nd[p])
         if not cs:
-            return pd.DataFrame(
-                {
-                    "center": pd.Series(dtype=np.int64),
-                    "context": pd.Series(dtype=np.int64),
-                    "n_pairs": pd.Series(dtype=np.int64),
-                }
-            )
+            return None
         out = (
             pd.DataFrame(
                 {"center": np.concatenate(cs), "context": np.concatenate(xs)}
@@ -1901,23 +1840,20 @@ def skipgram_pairs(
         )
         return out.rename(columns={"size": "n_pairs"}).astype(np.int64)
 
-    per_bucket = (
-        coalesce_for_exchange(walks.map_batches(tag, batch_format="pyarrow"))
-        .groupby("bucket")
-        .map_groups(pairs_in_bucket, batch_format="pandas")
+    i64 = pa.int64()
+    counts = pa.schema([("center", i64), ("context", i64), ("n_pairs", i64)])
+    per_bucket = cogroup(
+        {"group": (walks.map_batches(tag, batch_format="pyarrow"), "_wk")},
+        lambda group: pairs_in_bucket(group.to_pandas()),
+        counts,
+        n_buckets=n_buckets,
+        coalesce=True,
     )
 
     def tag_pair(batch: pa.Table) -> pa.Table:
         c = batch["center"].to_numpy(zero_copy_only=False).astype(np.int64)
         x = batch["context"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "pbucket": _bucket(c * np.int64(1_000_003) + x, n_buckets),
-                "center": c,
-                "context": x,
-                "n_pairs": batch["n_pairs"].cast(pa.int64()),
-            }
-        )
+        return batch.append_column("_pk", pa.array(c * np.int64(1_000_003) + x))
 
     def sum_in_bucket(group: pd.DataFrame) -> pd.DataFrame:
         out = group.groupby(["center", "context"], as_index=False)[
@@ -1925,10 +1861,10 @@ def skipgram_pairs(
         ].sum()
         return out.astype(np.int64)
 
-    return (
-        coalesce_for_exchange(
-            per_bucket.map_batches(tag_pair, batch_format="pyarrow")
-        )
-        .groupby("pbucket")
-        .map_groups(sum_in_bucket, batch_format="pandas")
+    return cogroup(
+        {"group": (per_bucket.map_batches(tag_pair, batch_format="pyarrow"), "_pk")},
+        lambda group: sum_in_bucket(group.to_pandas()),
+        counts,
+        n_buckets=n_buckets,
+        coalesce=True,
     )

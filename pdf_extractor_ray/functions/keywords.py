@@ -36,7 +36,7 @@ import pyarrow as pa
 
 import ray.data
 
-from .common import bucket_ids, coalesce_for_exchange
+from .exchange import cogroup
 
 __all__ = ["RAKE_STOPWORDS", "rake_keywords", "ngram_novelty"]
 
@@ -106,17 +106,18 @@ def rake_keywords(
             {
                 "phrase": pa.array(phrases, pa.string()),
                 "n": pa.array(list(counts.values()), pa.int64()),
-                "_bucket": pa.array(bucket_ids(phrases, 256), pa.int64()),
             }
         )
 
     def merge_bucket(group: pd.DataFrame) -> pd.DataFrame:
         return group.groupby("phrase", as_index=False).agg(n=("n", "sum"))
 
-    ptable = (
-        coalesce_for_exchange(ds.map_batches(phrase_counts, batch_format="pyarrow"))
-        .groupby("_bucket")
-        .map_groups(merge_bucket, batch_format="pandas")
+    ptable = cogroup(
+        {"group": (ds.map_batches(phrase_counts, batch_format="pyarrow"), "phrase")},
+        lambda group: merge_bucket(group.to_pandas()),
+        pa.schema([("phrase", pa.string()), ("n", pa.int64())]),
+        n_buckets=256,
+        coalesce=True,
     ).materialize()  # consumed twice (word stats + scoring); phrase-vocab-sized
 
     def word_stats(batch: pa.Table) -> pa.Table:
@@ -205,7 +206,6 @@ def ngram_novelty(
             {
                 "gram": pa.array(grams_out, pa.string()),
                 id_col: pa.array(docs_out, pa.int64()),
-                "_bucket": pa.array(bucket_ids(grams_out, 256), pa.int64()),
             }
         )
 
@@ -219,30 +219,28 @@ def ngram_novelty(
             n_grams=("gram", "size"), n_novel=("novel", "sum")
         )
 
-    partials = (
-        coalesce_for_exchange(ds.map_batches(pairs, batch_format="pyarrow"))
-        .groupby("_bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
+    i64 = pa.int64()
+    counts = pa.schema([(id_col, i64), ("n_grams", i64), ("n_novel", i64)])
+    partials = cogroup(
+        {"group": (ds.map_batches(pairs, batch_format="pyarrow"), "gram")},
+        lambda group: reduce_bucket(group.to_pandas()),
+        counts,
+        n_buckets=256,
+        coalesce=True,
     )
     # final per-doc fold via the coarse doc-bucket pattern — a
     # corpus-cardinality key through Ray's Aggregate API is the
     # measured group-explosion trap (BASELINE round 4)
-    def tag_doc(batch: pa.Table) -> pa.Table:
-        d = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        return batch.append_column(
-            "_dbucket", pa.array(np.abs(d) % 256)
-        )
-
     def sum_per_doc(group: pd.DataFrame) -> pd.DataFrame:
         out = group.groupby(id_col, as_index=False)[
             ["n_grams", "n_novel"]
         ].sum()
         return out.astype(np.int64)
 
-    return (
-        coalesce_for_exchange(
-            partials.map_batches(tag_doc, batch_format="pyarrow")
-        )
-        .groupby("_dbucket")
-        .map_groups(sum_per_doc, batch_format="pandas")
+    return cogroup(
+        {"group": (partials, id_col)},
+        lambda group: sum_per_doc(group.to_pandas()),
+        counts,
+        n_buckets=256,
+        coalesce=True,
     )

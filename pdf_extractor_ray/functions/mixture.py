@@ -59,6 +59,7 @@ import pyarrow as pa
 import ray.data
 
 from pdf_extractor_ray.functions.common import coalesce_for_exchange
+from pdf_extractor_ray.functions.exchange import cogroup, exchange_width
 
 __all__ = [
     "temperature_quotas",
@@ -351,8 +352,20 @@ def kfold_assign(
         ]
         return batch.append_column("_sc", pa.array(sc, pa.string()))
 
-    return (
-        ds.map_batches(tag_sc, batch_format="pyarrow")
-        .groupby("_sc")
-        .map_groups(rank_group, batch_format="pandas")
+    def rank_cells(rows: pa.Table):
+        import pandas as pd
+
+        return pd.concat(
+            [rank_group(g) for _, g in rows.to_pandas().groupby("_sc", sort=False)]
+        )
+
+    return cogroup(
+        {"rows": (ds.map_batches(tag_sc, batch_format="pyarrow"), "_sc")},
+        rank_cells,
+        lambda rows: pa.schema(
+            [f for f in rows if f.name not in ("_salt_hex", "_cell", "_sc")]
+            + [("fold", pa.int64())]
+        ),
+        n_buckets=exchange_width(),
+        coalesce=False,
     )

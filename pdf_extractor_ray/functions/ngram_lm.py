@@ -37,7 +37,8 @@ import pyarrow as pa
 
 import ray.data
 
-from .common import bucket_ids, coalesce_for_exchange
+from .common import bucket_ids
+from .exchange import cogroup
 from .shards import Shard, cluster_cpus, push, shard_actors
 
 __all__ = ["bigram_familiarity", "phrase_count"]
@@ -302,44 +303,17 @@ def bigram_familiarity(
             ids.extend([int(i)] * len(c))
             bgs.extend(c.keys())
             ms.extend(c.values())
-        arr = np.asarray(bgs, dtype=object)
         return pa.table(
             {
-                "_bucket": pa.array(
-                    bucket_ids(arr, n_buckets)
-                    if bgs
-                    else np.empty(0, dtype=np.int64)
-                ),
-                "side": pa.array(np.ones(len(bgs), dtype=np.int8)),
                 "bg": pa.array(bgs, pa.string()),
                 "doc_id": pa.array(ids, pa.int64()),
                 "n": pa.array(ms, pa.int64()),
             }
         )
 
-    def tag_counts(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "_bucket": pa.array(
-                    bucket_ids(
-                        np.asarray(batch["bg"].to_pandas(), dtype=object),
-                        n_buckets,
-                    )
-                ),
-                "side": pa.array(np.zeros(batch.num_rows, dtype=np.int8)),
-                "bg": batch["bg"],
-                "doc_id": pa.array(
-                    np.zeros(batch.num_rows, dtype=np.int64), pa.int64()
-                ),
-                "n": batch["n"].cast(pa.int64()),
-            }
-        )
-
-    def score_in_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        cnt = group.loc[group["side"] == 0, ["bg", "n"]].rename(
-            columns={"n": "cn"}
-        )
-        occ = group.loc[group["side"] == 1, ["bg", "doc_id", "n"]]
+    def score_in_bucket(occ: pa.Table, cnt: pa.Table) -> pd.DataFrame:
+        cnt = cnt.to_pandas().rename(columns={"n": "cn"})
+        occ = occ.to_pandas()
         # inner merge against the HEAD-only count side: singleton
         # occurrences drop here, which is exact because they score 0;
         # per-doc token totals ride the doc_totals union instead
@@ -376,44 +350,43 @@ def bigram_familiarity(
             }
         )
 
-    per_bucket = (
-        coalesce_for_exchange(
-            ds.map_batches(doc_partials, batch_format="pyarrow").union(
-                counts.map_batches(tag_counts, batch_format="pyarrow")
-            )
-        )
-        .groupby("_bucket")
-        .map_groups(score_in_bucket, batch_format="pandas")
-        .union(ds.map_batches(doc_totals, batch_format="pyarrow"))
-    )
+    i64 = pa.int64()
+    per_doc_schema = pa.schema([("doc_id", i64), ("n_bigrams", i64), ("fam_sum", i64)])
+    per_bucket = cogroup(
+        {
+            "occ": (
+                ds.map_batches(doc_partials, batch_format="pyarrow"),
+                "bg",
+                pa.schema([("bg", pa.string()), ("doc_id", i64), ("n", i64)]),
+            ),
+            "cnt": (
+                counts.select_columns(["bg", "n"]),
+                "bg",
+                pa.schema([("bg", pa.string()), ("n", i64)]),
+            ),
+        },
+        score_in_bucket,
+        per_doc_schema,
+        n_buckets=n_buckets,
+        coalesce=True,
+    ).union(ds.map_batches(doc_totals, batch_format="pyarrow"))
 
     # final per-doc sum: coarse doc-bucket map_groups, NOT the
     # Aggregate API — a ~doc-cardinality key through Ray's Aggregate
     # reduce is the measured 40x-CPU trap recorded in BASELINE.md
     # (clf_train, round 4); one vectorized pandas sum per bucket
-    def tag_doc_bucket(batch: pa.Table) -> pa.Table:
-        d = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "_dbucket": pa.array(np.abs(d) % n_buckets),
-                "doc_id": pa.array(d, pa.int64()),
-                "n_bigrams": batch["n_bigrams"].cast(pa.int64()),
-                "fam_sum": batch["fam_sum"].cast(pa.int64()),
-            }
-        )
-
     def sum_per_doc(group: pd.DataFrame) -> pd.DataFrame:
         out = group.groupby("doc_id", as_index=False)[
             ["n_bigrams", "fam_sum"]
         ].sum()
         return out.astype(np.int64)
 
-    per_doc = (
-        coalesce_for_exchange(
-            per_bucket.map_batches(tag_doc_bucket, batch_format="pyarrow")
-        )
-        .groupby("_dbucket")
-        .map_groups(sum_per_doc, batch_format="pandas")
+    per_doc = cogroup(
+        {"group": (per_bucket, "doc_id", per_doc_schema)},
+        lambda group: sum_per_doc(group.to_pandas()),
+        per_doc_schema,
+        n_buckets=n_buckets,
+        coalesce=True,
     )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -518,7 +491,6 @@ def phrase_count(
             ids = idxs = poss = np.empty(0, dtype=np.int64)
         return pa.table(
             {
-                "_bucket": pa.array(np.abs(ids) % n_buckets),
                 "doc_id": pa.array(ids, pa.int64()),
                 "widx": pa.array(idxs, pa.int64()),
                 "pos": pa.array(poss, pa.int64()),
@@ -546,12 +518,17 @@ def phrase_count(
         out = out.rename(columns={"size": "n_matches"})
         return out.astype(np.int64)
 
-    return (
-        coalesce_for_exchange(
-            ds.select_columns([id_col, text_col]).map_batches(
-                postings, batch_format="pyarrow"
+    return cogroup(
+        {
+            "group": (
+                ds.select_columns([id_col, text_col]).map_batches(
+                    postings, batch_format="pyarrow"
+                ),
+                "doc_id",
             )
-        )
-        .groupby("_bucket")
-        .map_groups(intersect_in_bucket, batch_format="pandas")
+        },
+        lambda group: intersect_in_bucket(group.to_pandas()),
+        pa.schema([("doc_id", pa.int64()), ("n_matches", pa.int64())]),
+        n_buckets=n_buckets,
+        coalesce=True,
     )

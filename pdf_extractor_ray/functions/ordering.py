@@ -38,7 +38,7 @@ import pyarrow as pa
 
 import ray.data
 
-from pdf_extractor_ray.functions.common import coalesce_for_exchange
+from pdf_extractor_ray.functions.exchange import cogroup
 
 __all__ = ["range_partition_map", "range_sort_manifest", "range_sorted_export"]
 
@@ -59,21 +59,19 @@ def range_partition_map(
             {
                 "cell": pa.array(uk),
                 "c": pa.array(c.astype(np.int64)),
-                "_bucket": pa.array(uk % 256),
             }
         )
 
     def merge(group: pd.DataFrame) -> pd.DataFrame:
         return group.groupby("cell", as_index=False)["c"].sum()
 
-    hist = (
-        coalesce_for_exchange(
-            ds.map_batches(cells, batch_format="pyarrow", batch_size=None)
-        )
-        .groupby("_bucket")
-        .map_groups(merge, batch_format="pandas")
-        .to_pandas()  # bounded: one row per non-empty cell
-    )
+    hist = cogroup(
+        {"group": (ds.map_batches(cells, batch_format="pyarrow", batch_size=None), "cell")},
+        lambda group: merge(group.to_pandas()),
+        pa.schema([("cell", pa.int64()), ("c", pa.int64())]),
+        n_buckets=256,
+        coalesce=True,
+    ).to_pandas()  # bounded: one row per non-empty cell
     if hist.empty:  # empty input: groupby yields no groups/columns
         return {}
     hist = hist.sort_values("cell").reset_index(drop=True)

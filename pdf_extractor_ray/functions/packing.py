@@ -39,9 +39,15 @@ import ray
 import ray.data
 
 from pdf_extractor_ray.functions.common import coalesce_for_exchange
+from pdf_extractor_ray.functions.exchange import cogroup
 from ray.data.aggregate import Max, Min, Sum
 
 __all__ = ["sequence_pack", "token_stream_chunks"]
+
+_CHUNKS = pa.schema(
+    [("chunk_id", pa.int64()), ("ids", pa.list_(pa.int32())),
+     ("n_tokens", pa.int64()), ("n_pieces", pa.int64())]
+)
 
 
 def token_stream_chunks(
@@ -70,16 +76,7 @@ def token_stream_chunks(
     bounds = ds.aggregate(Min(id_col), Max(id_col))
     lo, hi = bounds[f"min({id_col})"], bounds[f"max({id_col})"]
     if lo is None:  # empty input -> zero chunks
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "chunk_id": pa.array([], pa.int64()),
-                    "ids": pa.array([], pa.list_(pa.int32())),
-                    "n_tokens": pa.array([], pa.int64()),
-                    "n_pieces": pa.array([], pa.int64()),
-                }
-            )
-        )
+        return ray.data.from_arrow(_CHUNKS.empty_table())
     width = max(1, (int(hi) - int(lo) + n_buckets) // n_buckets)
 
     def bucket_of(ids: np.ndarray) -> np.ndarray:
@@ -135,10 +132,8 @@ def token_stream_chunks(
                 poff_out.append(gpos - c * chunk_len)
                 ids_out.append(arr[p : p + take])
                 p += take
-        cb = np.asarray(chunk_out, dtype=np.int64) % chunk_buckets
         return pa.table(
             {
-                "_cbucket": pa.array(cb),
                 "chunk_id": pa.array(chunk_out, pa.int64()),
                 "poff": pa.array(poff_out, pa.int64()),
                 "piece": pa.array(ids_out, pa.list_(pa.int32())),
@@ -168,15 +163,22 @@ def token_stream_chunks(
             }
         )
 
-    piece_ds = (
-        coalesce_for_exchange(ds.map_batches(tag, batch_format="pyarrow"))
-        .groupby("_bucket")
-        .map_groups(pieces, batch_format="pandas")
+    piece_ds = cogroup(
+        {"group": (ds.map_batches(tag, batch_format="pyarrow"), "_bucket")},
+        lambda group: pieces(group.to_pandas()),
+        pa.schema(
+            [("chunk_id", pa.int64()), ("poff", pa.int64()),
+             ("piece", pa.list_(pa.int32()))]
+        ),
+        n_buckets=n_buckets,
+        coalesce=True,
     )
-    return (
-        coalesce_for_exchange(piece_ds)
-        .groupby("_cbucket")
-        .map_groups(assemble, batch_format="pandas")
+    return cogroup(
+        {"group": (piece_ds, "chunk_id")},
+        lambda group: assemble(group.to_pandas()),
+        _CHUNKS,
+        n_buckets=chunk_buckets,
+        coalesce=True,
     )
 
 
@@ -253,10 +255,14 @@ def sequence_pack(
         toks = g[tokens_col].to_numpy().astype(np.int64)
         before = np.cumsum(toks) - toks + off[int(g["_bucket"].iloc[0])]
         g["pack_id"] = before // budget
-        return g.drop(columns=["_bucket"])
+        return g
 
-    return (
-        coalesce_for_exchange(ds.map_batches(tag, batch_format="pyarrow"))
-        .groupby("_bucket")
-        .map_groups(assign, batch_format="pandas")
+    return cogroup(
+        {"group": (ds.map_batches(tag, batch_format="pyarrow"), "_bucket")},
+        lambda group: assign(group.to_pandas()),
+        lambda group: pa.schema(
+            [f for f in group if f.name != "_bucket"] + [("pack_id", pa.int64())]
+        ),
+        n_buckets=n_buckets,
+        coalesce=True,
     )

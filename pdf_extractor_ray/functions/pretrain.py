@@ -57,7 +57,7 @@ import pyarrow as pa
 
 import ray.data
 
-from .common import bucket_ids, coalesce_for_exchange
+from .exchange import cogroup
 
 __all__ = ["drop_rows_by_ids", "pretrain_corpus_chain"]
 
@@ -89,45 +89,25 @@ def drop_rows_by_ids(
 
     pa_types = [_pa_type(t) for t in schema.types]
 
-    def tag_rows(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        return batch.append_column(
-            "_side", pa.array(np.zeros(len(ids), np.int8))
-        ).append_column(
-            "_jb", pa.array(bucket_ids(ids, n_buckets), pa.int64())
-        )
+    def anti(rows: pa.Table, drops: pa.Table):
+        drop = set(drops[id_col].to_pylist())
+        keep = rows.to_pandas()
+        return keep[~keep[id_col].isin(drop)]
 
-    def tag_drops(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        cols = {}
-        for name, typ in zip(names, pa_types):
-            if name == id_col:
-                cols[name] = pa.array(ids, typ)
-            else:
-                cols[name] = pa.nulls(len(ids), typ)
-        t = pa.table(cols)
-        return t.append_column(
-            "_side", pa.array(np.ones(len(ids), np.int8))
-        ).append_column(
-            "_jb", pa.array(bucket_ids(ids, n_buckets), pa.int64())
-        )
-
-    def anti(group: pd.DataFrame) -> pd.DataFrame:
-        drop = set(group.loc[group["_side"] == 1, id_col].tolist())
-        keep = group[
-            (group["_side"] == 0) & (~group[id_col].isin(drop))
-        ]
-        return keep[names]
-
-    tagged = rows.map_batches(tag_rows, batch_format="pyarrow").union(
-        drop_ids.select_columns([id_col]).map_batches(
-            tag_drops, batch_format="pyarrow"
-        )
-    )
-    return (
-        coalesce_for_exchange(tagged)
-        .groupby("_jb")
-        .map_groups(anti, batch_format="pandas")
+    row_schema = pa.schema(list(zip(names, pa_types)))
+    return cogroup(
+        {
+            "rows": (rows, id_col, row_schema),
+            "drops": (
+                drop_ids.select_columns([id_col]),
+                id_col,
+                pa.schema([row_schema.field(id_col)]),
+            ),
+        },
+        anti,
+        row_schema,
+        n_buckets=n_buckets,
+        coalesce=True,
     )
 
 

@@ -12,9 +12,9 @@ Patterns demonstrated (each is the scale-path shape, not the easy one):
     already-small aggregate
   - distinct-count: two-stage groupby (key,user -> key) so the heavy
     distinct happens as a hash shuffle of narrow pairs
-  - tumbling window: event-time bucketed aggregate (groupby over
-    floor(ts)) — Ray Data has no watermarks; batch semantics are exact
-    for a bounded table
+  - hopping window: event-time windowed aggregate (each event expands
+    to the windows it falls in) — Ray Data has no watermarks; batch
+    semantics are exact for a bounded table
   - sessionization: gap-based sessions need every row of one user
     co-located AND time-sorted — shuffled by a COARSE user bucket
     (cheap hash exchange of narrow rows), with the per-user sort +
@@ -30,7 +30,6 @@ Patterns demonstrated (each is the scale-path shape, not the easy one):
 from __future__ import annotations
 
 import re
-from typing import Optional
 
 import numpy as np
 import pandas as pd
@@ -40,8 +39,9 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from pdf_extractor_ray.functions.common import bucket_ids, coalesce_for_exchange
-from ray.data.aggregate import Max, Mean, Min, Sum
+from pdf_extractor_ray.functions.common import coalesce_for_exchange
+from pdf_extractor_ray.functions.exchange import cogroup
+from ray.data.aggregate import Max, Min, Sum
 
 __all__ = [
     "broadcast_join",
@@ -49,8 +49,6 @@ __all__ = [
     "range_join_broadcast",
     "range_join_partitioned",
     "pricing_summary",
-    "top_revenue_orders",
-    "events_tumbling_window",
     "events_hopping_window",
     "distinct_users_per_type",
     "brand_revenue_topk",
@@ -212,47 +210,25 @@ def skew_join(
     hot_join = big.map_batches(probe_hot, batch_format="pyarrow")
 
     # -------- phase 3: cold path (bucket cogroup)
-    def route_cold(side: int, cols_here: list):
-        def tag(batch: pa.Table) -> pa.Table:
-            if hot_arr is not None:
-                keep = pc.invert(pc.is_in(batch[on], value_set=hot_arr))
-                batch = batch.filter(keep)
-            out = {}
-            for c in all_cols:
-                out[c] = (
-                    batch[c]
-                    if c in cols_here
-                    else pa.nulls(batch.num_rows, type=all_types[c])
-                )
-            out["_side"] = pa.array(
-                np.full(batch.num_rows, side, dtype=np.int64)
-            )
-            out["_bucket"] = pa.array(
-                bucket_ids(batch[on], n_buckets), pa.int64()
-            )
-            return pa.table(out)
+    def drop_hot(batch: pa.Table) -> pa.Table:
+        if hot_arr is None:
+            return batch
+        return batch.filter(pc.invert(pc.is_in(batch[on], value_set=hot_arr)))
 
-        return tag
+    def merge(big_rows: pa.Table, small_rows: pa.Table) -> pd.DataFrame:
+        return big_rows.to_pandas().merge(small_rows.to_pandas(), on=on, how="inner")
 
-    def merge(group: pd.DataFrame) -> pd.DataFrame:
-        b = group[group["_side"] == 1][big_cols]
-        s = group[group["_side"] == 0][
-            [c for c in small_cols]
-        ]
-        return b.merge(s, on=on, how="inner")
-
-    cold_join = (
-        coalesce_for_exchange(
-            big.map_batches(
-                route_cold(1, big_cols), batch_format="pyarrow"
-            ).union(
-                small.map_batches(
-                    route_cold(0, small_cols), batch_format="pyarrow"
-                )
-            )
-        )
-        .groupby("_bucket")
-        .map_groups(merge, batch_format="pandas")
+    big_schema = pa.schema([(c, all_types[c]) for c in big_cols])
+    small_schema = pa.schema([(c, all_types[c]) for c in small_cols])
+    cold_join = cogroup(
+        {
+            "big_rows": (big.map_batches(drop_hot, batch_format="pyarrow"), on, big_schema),
+            "small_rows": (small.map_batches(drop_hot, batch_format="pyarrow"), on, small_schema),
+        },
+        merge,
+        pa.schema(list(big_schema) + [f for f in small_schema if f.name != on]),
+        n_buckets=n_buckets,
+        coalesce=True,
     )
 
     return hot_join.union(cold_join)
@@ -342,50 +318,30 @@ def range_join_partitioned(
         b0 = int(np.floor(lo_v / bin_width))
         b1 = int(np.floor(np.nextafter(hi_v, -np.inf) / bin_width))
         for b in range(b0, b1 + 1):
-            rep_rows.append((b % n_buckets, lo_v, hi_v, k))
+            rep_rows.append((b, lo_v, hi_v, k))
     rep = pd.DataFrame(
-        rep_rows, columns=["_bucket", lo_col, hi_col, key_col]
-    ).astype({lo_col: "float64", hi_col: "float64", "_bucket": "int64"})
+        rep_rows, columns=["_bin", lo_col, hi_col, key_col]
+    ).astype({lo_col: "float64", hi_col: "float64", "_bin": "int64"})
 
     row_schema = ds.schema()
+    row_fields = list(zip(row_schema.names, row_schema.types))
     row_schema_cols = list(row_schema.names)
-    row_types = dict(zip(row_schema.names, row_schema.types))
-    # one explicit unioned schema: row cols (native types) + range cols
-    union_cols = row_schema_cols + [lo_col, hi_col, key_col, "_bucket", "_side"]
 
-    def tag_rows(batch: pa.Table) -> pa.Table:
+    def add_bin(batch: pa.Table) -> pa.Table:
         v = batch[value_col].to_numpy(zero_copy_only=False)
-        bins = np.floor(v / bin_width).astype(np.int64)
-        n = batch.num_rows
-        batch = batch.append_column(lo_col, pa.nulls(n, pa.float64()))
-        batch = batch.append_column(hi_col, pa.nulls(n, pa.float64()))
-        batch = batch.append_column(key_col, pa.nulls(n, pa.string()))
-        batch = batch.append_column("_bucket", pa.array(bins % n_buckets))
-        batch = batch.append_column(
-            "_side", pa.array(np.zeros(n, dtype=np.int8))
+        return batch.append_column(
+            "_bin", pa.array(np.floor(v / bin_width).astype(np.int64))
         )
-        return batch.select(union_cols)
 
-    def pad_ranges(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        for c in row_schema_cols:
-            if c not in batch.schema.names:
-                batch = batch.append_column(c, pa.nulls(n, row_types[c]))
-        return batch.select(union_cols)
-
-    ranges_ds = ray.data.from_pandas(rep.assign(_side=np.int8(1)))
-
-    def probe(group: pd.DataFrame) -> pd.DataFrame:
-        rows = group[group["_side"] == 0]
+    def probe(rows: pa.Table, rngs: pa.Table) -> pd.DataFrame | None:
+        rows = rows.to_pandas()
         rr = (
-            group[group["_side"] == 1][[lo_col, hi_col, key_col]]
+            rngs.to_pandas()[[lo_col, hi_col, key_col]]
             .drop_duplicates(subset=[lo_col])
             .sort_values(lo_col)
         )
         if not len(rows) or not len(rr):
-            return pd.DataFrame(
-                columns=row_schema_cols + [key_col]
-            )
+            return None
         l = rr[lo_col].to_numpy()
         h = rr[hi_col].to_numpy()
         k = rr[key_col].to_numpy()
@@ -397,11 +353,23 @@ def range_join_partitioned(
         out[key_col] = k[safe[ok]]
         return out
 
-    unioned = ds.map_batches(tag_rows, batch_format="pyarrow").union(
-        ranges_ds.map_batches(pad_ranges, batch_format="pyarrow")
+    ranges_schema = pa.schema(
+        [("_bin", pa.int64()), (lo_col, pa.float64()), (hi_col, pa.float64()),
+         (key_col, pa.string())]
     )
-    return unioned.groupby("_bucket").map_groups(
-        probe, batch_format="pandas"
+    return cogroup(
+        {
+            "rows": (
+                ds.map_batches(add_bin, batch_format="pyarrow"),
+                "_bin",
+                pa.schema(row_fields + [("_bin", pa.int64())]),
+            ),
+            "rngs": (ray.data.from_pandas(rep), "_bin", ranges_schema),
+        },
+        probe,
+        pa.schema(row_fields + [(key_col, pa.string())]),
+        n_buckets=n_buckets,
+        coalesce=False,
     )
 
 
@@ -440,96 +408,6 @@ def pricing_summary(lineitem: ray.data.Dataset) -> ray.data.Dataset:
     )
 
 
-def top_revenue_orders(
-    lineitem: ray.data.Dataset,
-    orders_small: pd.DataFrame,
-    customer_small: pd.DataFrame,
-    segment: str = "BUILDING",
-    k: int = 10,
-) -> ray.data.Dataset:
-    """Q3-shaped: revenue per order for customers in a market segment,
-    top-k by revenue. Dimension tables ride as broadcasts."""
-    custs = customer_small.loc[
-        customer_small["c_mktsegment"] == segment, ["c_custkey"]
-    ]
-    ords = orders_small.merge(
-        custs, left_on="o_custkey", right_on="c_custkey"
-    )[["o_orderkey", "o_orderdate"]]
-
-    def partial(batch: pa.Table) -> pa.Table:
-        rev = pc.multiply(
-            batch["l_extendedprice"], pc.subtract(pa.scalar(1.0), batch["l_discount"])
-        )
-        t = pa.table({"l_orderkey": batch["l_orderkey"], "revenue": rev})
-        df = t.to_pandas()
-        g = df.groupby("l_orderkey", as_index=False).agg(revenue=("revenue", "sum"))
-        g["_bucket"] = g["l_orderkey"] % 256
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    # coarse orderkey-bucket exchange + vectorized in-bucket merge (an
-    # order-cardinality group set would swamp the aggregate machinery)
-    def merge(group: pd.DataFrame) -> pd.DataFrame:
-        return group.groupby("l_orderkey", as_index=False).agg(
-            revenue=("revenue", "sum")
-        )
-
-    per_order = (
-        coalesce_for_exchange(
-            lineitem.map_batches(partial, batch_format="pyarrow")
-        )
-        .groupby("_bucket")
-        .map_groups(merge, batch_format="pandas")
-    )
-    joined = broadcast_join(
-        per_order,
-        ords.rename(columns={"o_orderkey": "l_orderkey"}),
-        on="l_orderkey",
-    )
-    return joined.sort(["revenue", "l_orderkey"], descending=[True, False]).limit(k)
-
-
-def events_tumbling_window(
-    events: ray.data.Dataset, window_s: int = 3600
-) -> ray.data.Dataset:
-    """Tumbling event-time window per event_type: n events, sum(value).
-
-    window_start is the epoch-second floor of the window (int64) —
-    integer so the oracle comparison is exact.
-    """
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        us = pc.cast(pc.cast(batch["ts"], pa.timestamp("us")), pa.int64())
-        # numpy // floors toward -inf (Arrow divide truncates toward 0,
-        # which mis-windows pre-epoch timestamps vs the SQL floor())
-        secs = us.to_numpy(zero_copy_only=False) // 1_000_000
-        win = (secs // window_s) * window_s
-        # pre-aggregate INSIDE the batch: the shuffle then carries one
-        # row per (type, window) per batch — at 10M events this cut the
-        # op from 25 s to single digits versus shuffling every event
-        df = pd.DataFrame(
-            {
-                "event_type": batch["event_type"].to_pylist(),
-                "window_start": win,
-                "value": batch["value"].to_numpy(zero_copy_only=False),
-            }
-        )
-        g = df.groupby(["event_type", "window_start"], as_index=False).agg(
-            n_events=("value", "size"), sum_value=("value", "sum")
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    return (
-        coalesce_for_exchange(events.map_batches(bucket, batch_format="pyarrow"))
-        .groupby(["event_type", "window_start"])
-        .aggregate(
-            Sum("n_events", alias_name="n_events"),
-            Sum("sum_value", alias_name="sum_value"),
-        )
-    )
-
-
 def distinct_users_per_type(
     events: ray.data.Dataset, n_buckets: int = 256
 ) -> ray.data.Dataset:
@@ -543,34 +421,32 @@ def distinct_users_per_type(
     instead of one pandas pass. The sketch alternative when even the
     distinct pair set is too wide is ``sketches.hll_distinct_per_key``.
     """
-    mask = n_buckets - 1
-    if n_buckets & mask:
-        raise ValueError("n_buckets must be a power of two")
-
     def local_distinct(batch: pa.Table) -> pa.Table:
         df = pa.table(
             {"event_type": batch["event_type"], "user_id": batch["user_id"]}
         ).to_pandas()
         df = df.drop_duplicates()
-        t = pa.Table.from_pandas(df, preserve_index=False)
-        return t.append_column(
-            "bucket", pc.bit_wise_and(t["user_id"], mask)
-        )
+        return pa.Table.from_pandas(df, preserve_index=False)
 
-    def count_in_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.drop_duplicates(subset=["event_type", "user_id"])
+    def count_in_bucket(pairs: pa.Table) -> pd.DataFrame:
+        g = pairs.to_pandas().drop_duplicates(subset=["event_type", "user_id"])
         return g.groupby("event_type", as_index=False).agg(
             n_users=("user_id", "size")
         )
 
-    partial = (
-        coalesce_for_exchange(
-            events.select_columns(["event_type", "user_id"]).map_batches(
-                local_distinct, batch_format="pyarrow"
+    partial = cogroup(
+        {
+            "pairs": (
+                events.select_columns(["event_type", "user_id"]).map_batches(
+                    local_distinct, batch_format="pyarrow"
+                ),
+                "user_id",
             )
-        )
-        .groupby("bucket")
-        .map_groups(count_in_bucket, batch_format="pandas")
+        },
+        count_in_bucket,
+        lambda pairs: pa.schema([pairs.field("event_type"), ("n_users", pa.int64())]),
+        n_buckets=n_buckets,
+        coalesce=True,
     )
     return partial.groupby("event_type").aggregate(
         Sum("n_users", alias_name="n_users")
@@ -634,31 +510,21 @@ def sessionize_users(
     gap to the previous event exceeds ``gap_s``.
 
     Output per user_id: ``n_sessions``, ``n_events``. The shuffle key is
-    a coarse ``user_id & (n_buckets-1)`` bucket (narrow rows, bounded
+    a coarse user-id bucket (narrow rows, bounded
     group count); all rows of one user land in one bucket, and the
     session fold inside a bucket is a vectorized pandas sort + diff —
     no per-user task overhead. Equal-timestamp ties cannot split a
     session (gap 0 <= gap_s), so the count is order-stable.
     """
     gap_us = gap_s * 1_000_000
-    mask = n_buckets - 1
-    if n_buckets & mask:
-        raise ValueError("n_buckets must be a power of two")
-
     def project(batch: pa.Table) -> pa.Table:
         uid = batch["user_id"]
         # normalize whatever timestamp unit the source used to us
         ts_us = pc.cast(pc.cast(batch["ts"], pa.timestamp("us")), pa.int64())
-        return pa.table(
-            {
-                "user_id": uid,
-                "ts_us": ts_us,
-                "bucket": pc.bit_wise_and(uid, mask),
-            }
-        )
+        return pa.table({"user_id": uid, "ts_us": ts_us})
 
-    def sessions(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["user_id", "ts_us"])
+    def sessions(rows: pa.Table) -> pd.DataFrame:
+        g = rows.to_pandas().sort_values(["user_id", "ts_us"])
         new_user = g["user_id"].ne(g["user_id"].shift())
         gap = g["ts_us"].diff()
         start = (new_user | (gap > gap_us)).astype("int64")
@@ -668,11 +534,21 @@ def sessionize_users(
             .agg(n_sessions=("is_start", "sum"), n_events=("is_start", "size"))
         )
 
-    return (
-        events.select_columns(["user_id", "ts"])
-        .map_batches(project, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(sessions, batch_format="pandas")
+    return cogroup(
+        {
+            "rows": (
+                events.select_columns(["user_id", "ts"]).map_batches(
+                    project, batch_format="pyarrow"
+                ),
+                "user_id",
+            )
+        },
+        sessions,
+        lambda rows: pa.schema(
+            [rows.field("user_id"), ("n_sessions", pa.int64()), ("n_events", pa.int64())]
+        ),
+        n_buckets=n_buckets,
+        coalesce=False,
     )
 
 
@@ -690,10 +566,6 @@ def sessionize_events(
     Output: (event_id, user_id, session_idx).
     """
     gap_us = gap_s * 1_000_000
-    mask = n_buckets - 1
-    if n_buckets & mask:
-        raise ValueError("n_buckets must be a power of two")
-
     def project(batch: pa.Table) -> pa.Table:
         uid = batch["user_id"]
         ts_us = pc.cast(pc.cast(batch["ts"], pa.timestamp("us")), pa.int64())
@@ -702,23 +574,32 @@ def sessionize_events(
                 "event_id": batch["event_id"],
                 "user_id": uid,
                 "ts_us": ts_us,
-                "bucket": pc.bit_wise_and(uid, mask),
             }
         )
 
-    def assign(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["user_id", "ts_us", "event_id"])
+    def assign(rows: pa.Table) -> pd.DataFrame:
+        g = rows.to_pandas().sort_values(["user_id", "ts_us", "event_id"])
         new_user = g["user_id"].ne(g["user_id"].shift())
         gap = g["ts_us"].diff()
         start = (new_user | (gap > gap_us)).astype("int64")
         g = g.assign(session_idx=start.groupby(g["user_id"]).cumsum())
         return g[["event_id", "user_id", "session_idx"]]
 
-    return (
-        events.select_columns(["event_id", "user_id", "ts"])
-        .map_batches(project, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(assign, batch_format="pandas")
+    return cogroup(
+        {
+            "rows": (
+                events.select_columns(["event_id", "user_id", "ts"]).map_batches(
+                    project, batch_format="pyarrow"
+                ),
+                "user_id",
+            )
+        },
+        assign,
+        lambda rows: pa.schema(
+            [rows.field("event_id"), rows.field("user_id"), ("session_idx", pa.int64())]
+        ),
+        n_buckets=n_buckets,
+        coalesce=False,
     )
 
 
@@ -797,38 +678,19 @@ def latest_order_asof_partitioned(
     broadcast path. Identical output to ``latest_order_asof`` (pinned
     by test and by sharing the driver oracle)."""
 
-    def tag_events(batch: pa.Table) -> pa.Table:
-        users = batch["user_id"].to_numpy(zero_copy_only=False)
-        n = len(users)
-        return pa.table(
-            {
-                "_bucket": pa.array((users % n_buckets).astype(np.int64)),
-                "_side": pa.array(np.zeros(n, dtype=np.int8)),
-                "event_type": batch["event_type"],
-                "user_id": batch["user_id"],
-                "ts": pc.cast(batch["ts"], pa.timestamp("us")),
-                "price": pa.array(np.zeros(n, dtype=np.float64)),
-            }
-        )
-
     def tag_orders(batch: pa.Table) -> pa.Table:
-        custs = batch["o_custkey"].to_numpy(zero_copy_only=False)
-        n = len(custs)
         return pa.table(
             {
-                "_bucket": pa.array((custs % n_buckets).astype(np.int64)),
-                "_side": pa.array(np.ones(n, dtype=np.int8)),
-                "event_type": pa.array([""] * n, pa.string()),
                 "user_id": batch["o_custkey"],
-                "ts": pc.cast(batch["o_orderdate"], pa.timestamp("us")),
-                "price": pc.cast(batch["o_totalprice"], pa.float64()),
+                "ts": batch["o_orderdate"],
+                "price": batch["o_totalprice"],
             }
         )
 
-    def probe_in_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        left = group[group["_side"] == 0]
+    def probe_in_bucket(evs: pa.Table, ords: pa.Table) -> pd.DataFrame:
+        left = evs.to_pandas()
         right = (
-            group[group["_side"] == 1]
+            ords.to_pandas()
             .groupby(["user_id", "ts"], as_index=False)
             .agg(price=("price", "max"))
             .sort_values("ts")
@@ -857,11 +719,27 @@ def latest_order_asof_partitioned(
             sum_price_c=("price_c", "sum"),
         )
 
-    tagged = events.map_batches(tag_events, batch_format="pyarrow").union(
-        orders.map_batches(tag_orders, batch_format="pyarrow")
-    )
-    partials = tagged.groupby("_bucket").map_groups(
-        probe_in_bucket, batch_format="pandas"
+    ts_us = pa.timestamp("us")
+    partials = cogroup(
+        {
+            "evs": (
+                events,
+                "user_id",
+                pa.schema([("event_type", pa.string()), ("user_id", pa.int64()), ("ts", ts_us)]),
+            ),
+            "ords": (
+                orders.map_batches(tag_orders, batch_format="pyarrow"),
+                "user_id",
+                pa.schema([("user_id", pa.int64()), ("ts", ts_us), ("price", pa.float64())]),
+            ),
+        },
+        probe_in_bucket,
+        pa.schema(
+            [("event_type", pa.string()), ("n_events", pa.int64()),
+             ("n_matched", pa.int64()), ("sum_price_c", pa.int64())]
+        ),
+        n_buckets=n_buckets,
+        coalesce=False,
     )
     return partials.groupby("event_type").aggregate(
         Sum("n_events", alias_name="n_events"),
@@ -888,35 +766,20 @@ def topk_per_group(
     ``order_col`` descending, ``tiebreak_col`` ascending.
     """
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        vals = batch[group_col].to_numpy(zero_copy_only=False)
-        if np.issubdtype(vals.dtype, np.number):
-            buckets = (
-                vals.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-            ) % np.uint64(n_buckets)
-        else:
-            buckets = pd.util.hash_array(
-                np.asarray(vals, dtype=object), categorize=False
-            ) % np.uint64(n_buckets)
-        return batch.append_column(
-            "_bucket", pa.array(buckets.astype(np.int64))
-        )
-
-    def rank(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(
+    def rank(rows: pa.Table) -> pd.DataFrame:
+        g = rows.to_pandas().sort_values(
             [group_col, order_col, tiebreak_col],
             ascending=[True, False, True],
         )
         g["rank"] = g.groupby(group_col).cumcount() + 1
-        out = g[g["rank"] <= k].drop(columns=["_bucket"])
-        return out
+        return g[g["rank"] <= k]
 
-    return (
-        coalesce_for_exchange(
-            counted.map_batches(add_bucket, batch_format="pyarrow")
-        )
-        .groupby("_bucket")
-        .map_groups(rank, batch_format="pandas")
+    return cogroup(
+        {"rows": (counted, group_col)},
+        rank,
+        lambda rows: rows.append(pa.field("rank", pa.int64())),
+        n_buckets=n_buckets,
+        coalesce=True,
     )
 
 
@@ -952,58 +815,38 @@ def order_priority_revenue(
             {"l_orderkey": batch["l_orderkey"], "rev_c": cents}
         ).to_pandas()
         g = df.groupby("l_orderkey", as_index=False).agg(rev_c=("rev_c", "sum"))
-        g["_bucket"] = g["l_orderkey"] % n_buckets
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    def tag_left(batch: pa.Table) -> pa.Table:
-        t = partial(batch)
-        n = t.num_rows
-        return pa.table(
-            {
-                "_bucket": t["_bucket"],
-                "_side": pa.array([0] * n, pa.int8()),
-                "l_orderkey": t["l_orderkey"],
-                "rev_c": t["rev_c"],
-                "o_orderpriority": pa.array([""] * n, pa.string()),
-            }
-        )
-
-    def tag_right(batch: pa.Table) -> pa.Table:
-        keys = batch["o_orderkey"]
-        n = len(keys)
-        import numpy as np
-
-        return pa.table(
-            {
-                "_bucket": pa.array(
-                    keys.to_numpy(zero_copy_only=False) % n_buckets
-                ),
-                "_side": pa.array([1] * n, pa.int8()),
-                "l_orderkey": keys,
-                "rev_c": pa.array([0] * n, pa.int64()),
-                "o_orderpriority": batch["o_orderpriority"],
-            }
-        )
-
-    left = lineitem.map_batches(tag_left, batch_format="pyarrow")
-    right = orders.select_columns(
-        ["o_orderkey", "o_orderpriority"]
-    ).map_batches(tag_right, batch_format="pyarrow")
-
-    def join_in_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        l = group[group["_side"] == 0].groupby(
+    def join_in_bucket(li: pa.Table, od: pa.Table) -> pd.DataFrame:
+        l = li.to_pandas().groupby(
             "l_orderkey", as_index=False
         ).agg(rev_c=("rev_c", "sum"))
-        rt = group[group["_side"] == 1][["l_orderkey", "o_orderpriority"]]
+        rt = od.to_pandas().rename(columns={"o_orderkey": "l_orderkey"})
         m = l.merge(rt, on="l_orderkey", how="inner")
         return m.groupby("o_orderpriority", as_index=False).agg(
             n_orders=("l_orderkey", "size"), revenue_c=("rev_c", "sum")
         )
 
-    per_bucket = (
-        coalesce_for_exchange(left.union(right))
-        .groupby("_bucket")
-        .map_groups(join_in_bucket, batch_format="pandas")
+    per_bucket = cogroup(
+        {
+            "li": (
+                lineitem.map_batches(partial, batch_format="pyarrow"),
+                "l_orderkey",
+                pa.schema([("l_orderkey", pa.int64()), ("rev_c", pa.int64())]),
+            ),
+            "od": (
+                orders.select_columns(["o_orderkey", "o_orderpriority"]),
+                "o_orderkey",
+                pa.schema([("o_orderkey", pa.int64()), ("o_orderpriority", pa.string())]),
+            ),
+        },
+        join_in_bucket,
+        pa.schema(
+            [("o_orderpriority", pa.string()), ("n_orders", pa.int64()),
+             ("revenue_c", pa.int64())]
+        ),
+        n_buckets=n_buckets,
+        coalesce=True,
     )
     return per_bucket.groupby("o_orderpriority").aggregate(
         Sum("n_orders", alias_name="n_orders"),
@@ -1151,9 +994,6 @@ def peak_moving_window(
 
     Output per user_id: ``peak_window_c`` (int64), ``n_events``.
     """
-    mask = n_buckets - 1
-    if n_buckets & mask:
-        raise ValueError("n_buckets must be a power of two")
     w = int(window_rows)
 
     def project(batch: pa.Table) -> pa.Table:
@@ -1172,7 +1012,6 @@ def peak_moving_window(
                 "ts_us": ts_us,
                 "event_id": batch["event_id"],
                 "value_c": value_c,
-                "bucket": pc.bit_wise_and(uid, mask),
             }
         )
 
@@ -1191,11 +1030,20 @@ def peak_moving_window(
             .agg(peak_window_c=("win_c", "max"), n_events=("win_c", "size"))
         )
 
-    return (
-        events.select_columns(["user_id", "ts", "event_id", "value"])
-        .map_batches(project, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(fold, batch_format="pandas")
+    return cogroup(
+        {
+            "rows": (
+                events.select_columns(["user_id", "ts", "event_id", "value"])
+                .map_batches(project, batch_format="pyarrow"),
+                "user_id",
+            )
+        },
+        lambda rows: fold(rows.to_pandas()),
+        lambda rows: pa.schema(
+            [rows.field("user_id"), ("peak_window_c", pa.int64()), ("n_events", pa.int64())]
+        ),
+        n_buckets=n_buckets,
+        coalesce=False,
     )
 
 
@@ -1297,10 +1145,6 @@ def hourly_spikes(
     Output per user: ``n_active_hours``, ``n_spike_hours``,
     ``peak_hour_events``.
     """
-    mask = n_buckets - 1
-    if n_buckets & mask:
-        raise ValueError("n_buckets must be a power of two")
-
     def partial(batch: pa.Table) -> pa.Table:
         uid = batch["user_id"].to_numpy(zero_copy_only=False)
         ts_us = pc.cast(
@@ -1310,7 +1154,6 @@ def hourly_spikes(
         df = pd.DataFrame({"user_id": uid, "hour": hour})
         g = df.groupby(["user_id", "hour"], as_index=False).size()
         g = g.rename(columns={"size": "n"})
-        g["bucket"] = g["user_id"].to_numpy(np.int64) & mask
         return pa.Table.from_pandas(g, preserve_index=False)
 
     def fold(group: pd.DataFrame) -> pd.DataFrame:
@@ -1329,11 +1172,21 @@ def hourly_spikes(
             )
         )
 
-    return (
-        events.select_columns(["user_id", "ts"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(fold, batch_format="pandas")
+    return cogroup(
+        {
+            "rows": (
+                events.select_columns(["user_id", "ts"])
+                .map_batches(partial, batch_format="pyarrow"),
+                "user_id",
+            )
+        },
+        lambda rows: fold(rows.to_pandas()),
+        lambda rows: pa.schema(
+            [rows.field("user_id"), ("n_active_hours", pa.int64()),
+             ("n_spike_hours", pa.int64()), ("peak_hour_events", pa.int64())]
+        ),
+        n_buckets=n_buckets,
+        coalesce=False,
     )
 
 
@@ -1381,63 +1234,35 @@ def nation_revenue(
             }
         )
         g = df.groupby(["key", "a"], as_index=False)["rev_c"].sum()
-        g["side"] = np.int8(1)
-        g["b"] = np.int64(0)
-        g["bucket"] = (np.abs(g["key"].to_numpy(np.int64)) % n_buckets)
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    def tag_dim(ds: ray.data.Dataset, key: str, val: str) -> ray.data.Dataset:
-        def tag(batch: pa.Table) -> pa.Table:
-            k = batch[key].to_numpy(zero_copy_only=False).astype(np.int64)
-            return pa.table(
-                {
-                    "key": k,
-                    "a": batch[val].to_numpy(zero_copy_only=False).astype(
-                        np.int64
-                    ),
-                    "rev_c": np.zeros(len(k), np.int64),
-                    "side": np.zeros(len(k), np.int8),
-                    "b": np.zeros(len(k), np.int64),
-                    "bucket": np.abs(k) % n_buckets,
-                }
-            )
+    i64 = pa.int64()
+    dim_schema = pa.schema([("key", i64), ("a", i64)])
+    fact_schema = pa.schema([("key", i64), ("a", i64), ("b", i64), ("rev_c", i64)])
 
-        return ds.map_batches(tag, batch_format="pyarrow")
+    def dim(ds: ray.data.Dataset, key: str, val: str) -> tuple:
+        tagged = ds.map_batches(
+            lambda b: pa.table({"key": b[key], "a": b[val]}), batch_format="pyarrow"
+        )
+        return (tagged, "key", dim_schema)
 
-    def rebucket(ds: ray.data.Dataset, promote_a_to_b: bool) -> ray.data.Dataset:
-        def tag(batch: pa.Table) -> pa.Table:
-            k = batch["key"].to_numpy(zero_copy_only=False).astype(np.int64)
-            a = batch["a"].to_numpy(zero_copy_only=False).astype(np.int64)
-            b = batch["b"].to_numpy(zero_copy_only=False).astype(np.int64)
-            if promote_a_to_b:
-                b = a
-                a = np.zeros(len(k), np.int64)
-            return pa.table(
-                {
-                    "key": k,
-                    "a": a,
-                    "rev_c": batch["rev_c"].to_numpy(
-                        zero_copy_only=False
-                    ).astype(np.int64),
-                    "side": np.ones(len(k), np.int8),
-                    "b": b,
-                    "bucket": np.abs(k) % n_buckets,
-                }
-            )
-
-        return ds.map_batches(tag, batch_format="pyarrow")
+    def join(facts: tuple, dims: tuple, fold, out_schema) -> ray.data.Dataset:
+        return cogroup(
+            {"facts": facts, "dims": dims},
+            lambda facts, dims: fold(facts.to_pandas(), dims.to_pandas()),
+            out_schema,
+            n_buckets=n_buckets,
+            coalesce=True,
+        )
 
     # stage 1: lineitem x orders on orderkey. The next join is on
     # custkey, so the looked-up o_custkey becomes the new `key` and
     # l_suppkey rides along in `a` until stage 3 needs it.
     li = lineitem.map_batches(tag_lineitem, batch_format="pyarrow")
-    od = tag_dim(orders, "o_orderkey", "o_custkey")
 
-    def swap_cogroup(group: pd.DataFrame) -> pd.DataFrame:
-        dims = group[group["side"] == 0][["key", "a"]].rename(
-            columns={"a": "looked_up"}
-        )
-        facts = group[group["side"] == 1][["key", "a", "rev_c"]]
+    def swap_cogroup(facts: pd.DataFrame, dims: pd.DataFrame) -> pd.DataFrame:
+        dims = dims[["key", "a"]].rename(columns={"a": "looked_up"})
+        facts = facts[["key", "a", "rev_c"]]
         m = facts.merge(dims, on="key", how="inner")
         out = m.groupby(["looked_up", "a"], as_index=False)["rev_c"].sum()
         return pd.DataFrame(
@@ -1449,20 +1274,17 @@ def nation_revenue(
             }
         )
 
-    stage1 = (
-        coalesce_for_exchange(li.union(od))
-        .groupby("bucket")
-        .map_groups(swap_cogroup, batch_format="pandas")
+    stage1 = join(
+        (li, "key", pa.schema([("key", i64), ("a", i64), ("rev_c", i64)])),
+        dim(orders, "o_orderkey", "o_custkey"),
+        swap_cogroup,
+        fact_schema,
     )
 
     # stage 2: x customer on custkey -> key=suppkey, b=c_nationkey
-    cu = tag_dim(customer, "c_custkey", "c_nationkey")
-
-    def stage2_cogroup(group: pd.DataFrame) -> pd.DataFrame:
-        dims = group[group["side"] == 0][["key", "a"]].rename(
-            columns={"a": "c_nation"}
-        )
-        facts = group[group["side"] == 1][["key", "a", "rev_c"]]
+    def stage2_cogroup(facts: pd.DataFrame, dims: pd.DataFrame) -> pd.DataFrame:
+        dims = dims[["key", "a"]].rename(columns={"a": "c_nation"})
+        facts = facts[["key", "a", "rev_c"]]
         m = facts.merge(dims, on="key", how="inner")
         out = m.groupby(["a", "c_nation"], as_index=False)["rev_c"].sum()
         return pd.DataFrame(
@@ -1474,22 +1296,18 @@ def nation_revenue(
             }
         )
 
-    f1 = rebucket(stage1, promote_a_to_b=False)
-    # f1 carries key=custkey side=1; cogroup with customer dim
-    stage2 = (
-        coalesce_for_exchange(f1.union(cu))
-        .groupby("bucket")
-        .map_groups(stage2_cogroup, batch_format="pandas")
+    # stage1 carries key=custkey; cogroup with customer dim
+    stage2 = join(
+        (stage1, "key", fact_schema),
+        dim(customer, "c_custkey", "c_nationkey"),
+        stage2_cogroup,
+        fact_schema,
     )
 
     # stage 3: x supplier on suppkey, keep c_nation == s_nation
-    su = tag_dim(supplier, "s_suppkey", "s_nationkey")
-
-    def stage3_cogroup(group: pd.DataFrame) -> pd.DataFrame:
-        dims = group[group["side"] == 0][["key", "a"]].rename(
-            columns={"a": "s_nation"}
-        )
-        facts = group[group["side"] == 1][["key", "b", "rev_c"]]
+    def stage3_cogroup(facts: pd.DataFrame, dims: pd.DataFrame) -> pd.DataFrame:
+        dims = dims[["key", "a"]].rename(columns={"a": "s_nation"})
+        facts = facts[["key", "b", "rev_c"]]
         m = facts.merge(dims, on="key", how="inner")
         m = m[m["b"] == m["s_nation"]]
         out = m.groupby("s_nation", as_index=False)["rev_c"].sum()
@@ -1500,11 +1318,11 @@ def nation_revenue(
             }
         )
 
-    f2 = rebucket(stage2, promote_a_to_b=False)
-    stage3 = (
-        coalesce_for_exchange(f2.union(su))
-        .groupby("bucket")
-        .map_groups(stage3_cogroup, batch_format="pandas")
+    stage3 = join(
+        (stage2, "key", fact_schema),
+        dim(supplier, "s_suppkey", "s_nationkey"),
+        stage3_cogroup,
+        pa.schema([("nationkey", i64), ("rev_c", i64)]),
     )
 
     agg = stage3.groupby("nationkey").aggregate(
@@ -1564,10 +1382,6 @@ def returned_revenue_topk(
         g = df.groupby("key", as_index=False)["rev_c"].sum()
         return pa.table(
             {
-                "bucket": pa.array(
-                    np.abs(g["key"].to_numpy(np.int64)) % n_buckets
-                ),
-                "side": pa.array(np.ones(len(g), np.int8)),
                 "key": pa.array(g["key"].to_numpy(np.int64)),
                 "val": pa.array(g["rev_c"].to_numpy(np.int64)),
             }
@@ -1584,8 +1398,6 @@ def returned_revenue_topk(
         keys = t["o_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {
-                "bucket": pa.array(np.abs(keys) % n_buckets),
-                "side": pa.array(np.zeros(len(keys), np.int8)),
                 "key": pa.array(keys),
                 "val": pa.array(
                     t["o_custkey"].to_numpy(zero_copy_only=False).astype(
@@ -1595,24 +1407,20 @@ def returned_revenue_topk(
             }
         )
 
-    def join_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        dims = group[group["side"] == 0][["key", "val"]].rename(
-            columns={"val": "custkey"}
-        )
-        facts = group[group["side"] == 1][["key", "val"]]
+    def join_bucket(facts: pa.Table, dims: pa.Table) -> pd.DataFrame:
+        dims = dims.to_pandas().rename(columns={"val": "custkey"})
+        facts = facts.to_pandas()
         m = facts.merge(dims, on="key", how="inner")
         out = m.groupby("custkey", as_index=False)["val"].sum()
         return pd.DataFrame(
             {
                 "custkey": out["custkey"].to_numpy(np.int64),
                 "rev_c": out["val"].to_numpy(np.int64),
-                "bucket2": np.abs(out["custkey"].to_numpy(np.int64))
-                % n_buckets,
             }
         )
 
-    def topk_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        per = group.groupby("custkey", as_index=False)["rev_c"].sum()
+    def topk_bucket(rows: pa.Table) -> pd.DataFrame:
+        per = rows.to_pandas().groupby("custkey", as_index=False)["rev_c"].sum()
         per = per.sort_values(
             ["rev_c", "custkey"], ascending=[False, True]
         ).head(k)
@@ -1623,17 +1431,24 @@ def returned_revenue_topk(
             }
         )
 
-    li = lineitem.map_batches(li_partial, batch_format="pyarrow")
-    od = orders.map_batches(od_tag, batch_format="pyarrow")
-    partials = (
-        coalesce_for_exchange(li.union(od))
-        .groupby("bucket")
-        .map_groups(join_bucket, batch_format="pandas")
+    pair = pa.schema([("key", pa.int64()), ("val", pa.int64())])
+    partial_schema = pa.schema([("custkey", pa.int64()), ("rev_c", pa.int64())])
+    partials = cogroup(
+        {
+            "facts": (lineitem.map_batches(li_partial, batch_format="pyarrow"), "key", pair),
+            "dims": (orders.map_batches(od_tag, batch_format="pyarrow"), "key", pair),
+        },
+        join_bucket,
+        partial_schema,
+        n_buckets=n_buckets,
+        coalesce=True,
     )
-    candidates = (
-        coalesce_for_exchange(partials)
-        .groupby("bucket2")
-        .map_groups(topk_bucket, batch_format="pandas")
+    candidates = cogroup(
+        {"rows": (partials, "custkey")},
+        topk_bucket,
+        pa.schema([("c_custkey", pa.int64()), ("revenue_c", pa.int64())]),
+        n_buckets=n_buckets,
+        coalesce=True,
     )
     return candidates.sort(
         ["revenue_c", "c_custkey"], descending=[True, False]
@@ -1679,10 +1494,6 @@ def promo_revenue_by_month(
         g = df.groupby(["key", "ym"], as_index=False)["rev_c"].sum()
         return pa.table(
             {
-                "bucket": pa.array(
-                    np.abs(g["key"].to_numpy(np.int64)) % n_buckets
-                ),
-                "side": pa.array(np.ones(len(g), np.int8)),
                 "key": pa.array(g["key"].to_numpy(np.int64)),
                 "ym": pa.array(g["ym"].to_numpy(np.int64)),
                 "rev_c": pa.array(g["rev_c"].to_numpy(np.int64)),
@@ -1695,22 +1506,12 @@ def promo_revenue_by_month(
         )
         promo = pc.equal(batch["p_type"], promo_type)
         return pa.table(
-            {
-                "bucket": pa.array(np.abs(keys) % n_buckets),
-                "side": pa.array(np.zeros(len(keys), np.int8)),
-                "key": pa.array(keys),
-                "ym": pa.array(
-                    pc.cast(promo, pa.int64())
-                ),  # is_promo rides in ym on the dim side
-                "rev_c": pa.array(np.zeros(len(keys), np.int64)),
-            }
+            {"key": pa.array(keys), "is_promo": pc.cast(promo, pa.int64())}
         )
 
-    def fold_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        dims = group[group["side"] == 0][["key", "ym"]].rename(
-            columns={"ym": "is_promo"}
-        )
-        facts = group[group["side"] == 1][["key", "ym", "rev_c"]]
+    def fold_bucket(facts: pa.Table, dims: pa.Table) -> pd.DataFrame:
+        dims = dims.to_pandas()
+        facts = facts.to_pandas()
         m = facts.merge(dims, on="key", how="inner")
         m["promo_c"] = m["rev_c"] * m["is_promo"]
         out = m.groupby("ym", as_index=False).agg(
@@ -1719,12 +1520,24 @@ def promo_revenue_by_month(
         )
         return out
 
-    li = lineitem.map_batches(li_partial, batch_format="pyarrow")
-    pt = part.map_batches(part_tag, batch_format="pyarrow")
-    partials = (
-        coalesce_for_exchange(li.union(pt))
-        .groupby("bucket")
-        .map_groups(fold_bucket, batch_format="pandas")
+    i64 = pa.int64()
+    partials = cogroup(
+        {
+            "facts": (
+                lineitem.map_batches(li_partial, batch_format="pyarrow"),
+                "key",
+                pa.schema([("key", i64), ("ym", i64), ("rev_c", i64)]),
+            ),
+            "dims": (
+                part.map_batches(part_tag, batch_format="pyarrow"),
+                "key",
+                pa.schema([("key", i64), ("is_promo", i64)]),
+            ),
+        },
+        fold_bucket,
+        pa.schema([("ym", i64), ("promo_revenue_c", i64), ("total_revenue_c", i64)]),
+        n_buckets=n_buckets,
+        coalesce=True,
     )
     return partials.groupby("ym").aggregate(
         Sum("promo_revenue_c", alias_name="promo_revenue_c"),
@@ -1767,7 +1580,6 @@ def cooccurrence_pairs(
             {user_col: batch[user_col], item_col: batch[item_col]}
         ).to_pandas()
         g = df.drop_duplicates([user_col, item_col])
-        g["_bucket"] = bucket_ids(g[user_col].to_numpy(), n_buckets)
         return pa.Table.from_pandas(g, preserve_index=False)
 
     def bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
@@ -1792,14 +1604,23 @@ def cooccurrence_pairs(
             }
         )
 
-    from pdf_extractor_ray.functions.common import coalesce_for_exchange
+    def pair_schema(rows: pa.Schema) -> pa.Schema:
+        t = rows.field(item_col).type
+        return pa.schema([("t1", t), ("t2", t), ("n_users", pa.int64())])
 
     return (
-        coalesce_for_exchange(
-            events.map_batches(distinct_partial, batch_format="pyarrow")
+        cogroup(
+            {
+                "rows": (
+                    events.map_batches(distinct_partial, batch_format="pyarrow"),
+                    user_col,
+                )
+            },
+            lambda rows: bucket_pairs(rows.to_pandas()),
+            pair_schema,
+            n_buckets=n_buckets,
+            coalesce=True,
         )
-        .groupby("_bucket")
-        .map_groups(bucket_pairs, batch_format="pandas")
         .groupby(["t1", "t2"])
         .aggregate(Sum("n_users", alias_name="n_users"))
     )
@@ -1843,7 +1664,6 @@ def retention_cohorts(
                 "week": week,
             }
         ).drop_duplicates()
-        df["_bucket"] = df[user_col].astype("int64") % n_buckets
         return pa.Table.from_pandas(df, preserve_index=False)
 
     def bucket_cohorts(group: pd.DataFrame) -> pd.DataFrame:
@@ -1866,14 +1686,16 @@ def retention_cohorts(
         )
         return out
 
-    from pdf_extractor_ray.functions.common import coalesce_for_exchange
-
     return (
-        coalesce_for_exchange(
-            events.map_batches(week_partial, batch_format="pyarrow")
+        cogroup(
+            {"rows": (events.map_batches(week_partial, batch_format="pyarrow"), user_col)},
+            lambda rows: bucket_cohorts(rows.to_pandas()),
+            pa.schema(
+                [("week", pa.int64()), ("n_active", pa.int64()), ("n_retained", pa.int64())]
+            ),
+            n_buckets=n_buckets,
+            coalesce=True,
         )
-        .groupby("_bucket")
-        .map_groups(bucket_cohorts, batch_format="pandas")
         .groupby("week")
         .aggregate(
             Sum("n_active", alias_name="n_active"),
@@ -1915,7 +1737,6 @@ def transition_counts(
                 id_col: batch[id_col].to_numpy(zero_copy_only=False),
             }
         )
-        df["_bucket"] = df[user_col].astype("int64") % n_buckets
         return pa.Table.from_pandas(df, preserve_index=False)
 
     def bucket_transitions(group: pd.DataFrame) -> pd.DataFrame:
@@ -1937,14 +1758,18 @@ def transition_counts(
         out["n"] = out["n"].astype("int64")
         return out
 
-    from pdf_extractor_ray.functions.common import coalesce_for_exchange
+    def transition_schema(rows: pa.Schema) -> pa.Schema:
+        t = rows.field(type_col).type
+        return pa.schema([("from_type", t), ("to_type", t), ("n", pa.int64())])
 
     return (
-        coalesce_for_exchange(
-            events.map_batches(narrow, batch_format="pyarrow")
+        cogroup(
+            {"rows": (events.map_batches(narrow, batch_format="pyarrow"), user_col)},
+            lambda rows: bucket_transitions(rows.to_pandas()),
+            transition_schema,
+            n_buckets=n_buckets,
+            coalesce=True,
         )
-        .groupby("_bucket")
-        .map_groups(bucket_transitions, batch_format="pandas")
         .groupby(["from_type", "to_type"])
         .aggregate(Sum("n", alias_name="n"))
     )
@@ -1992,7 +1817,6 @@ def funnel_steps(
                 "_ts": us[keep],
             }
         )
-        df["_bucket"] = df[user_col].astype("int64") % n_buckets
         return pa.Table.from_pandas(df, preserve_index=False)
 
     n_steps = len(steps)
@@ -2026,14 +1850,16 @@ def funnel_steps(
             }
         )
 
-    from pdf_extractor_ray.functions.common import coalesce_for_exchange
-
     return (
-        coalesce_for_exchange(
-            events.map_batches(narrow, batch_format="pyarrow")
+        cogroup(
+            {"rows": (events.map_batches(narrow, batch_format="pyarrow"), user_col)},
+            lambda rows: bucket_funnel(rows.to_pandas()),
+            pa.schema(
+                [("step_idx", pa.int64()), ("step", pa.string()), ("n_users", pa.int64())]
+            ),
+            n_buckets=n_buckets,
+            coalesce=True,
         )
-        .groupby("_bucket")
-        .map_groups(bucket_funnel, batch_format="pandas")
         .groupby(["step_idx", "step"])
         .aggregate(Sum("n_users", alias_name="n_users"))
     )
@@ -2065,58 +1891,48 @@ def customers_without_orders(
     import numpy as np
 
     def tag_cust(batch: pa.Table) -> pa.Table:
-        keys = batch["c_custkey"].to_numpy(zero_copy_only=False)
         bal = batch["c_acctbal"].to_numpy(zero_copy_only=False)
-        # int64 so both union sides share one schema (no per-block
-        # schema flip-flop in the exchange)
-        nat = batch["c_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {
-                "_bucket": pa.array((np.abs(keys) % n_buckets).astype(np.int64)),
-                "_side": pa.array(np.zeros(len(keys), dtype=np.int8)),
-                "custkey": pa.array(keys, pa.int64()),
-                "c_nationkey": pa.array(nat, pa.int64()),
-                "bal_c": pa.array(
-                    np.floor(bal * 100 + 0.5).astype(np.int64), pa.int64()
-                ),
+                "custkey": batch["c_custkey"],
+                "c_nationkey": batch["c_nationkey"],
+                "bal_c": pa.array(np.floor(bal * 100 + 0.5).astype(np.int64)),
             }
         )
 
     def tag_orders(batch: pa.Table) -> pa.Table:
         keys = np.unique(batch["o_custkey"].to_numpy(zero_copy_only=False))
-        return pa.table(
-            {
-                "_bucket": pa.array((np.abs(keys) % n_buckets).astype(np.int64)),
-                "_side": pa.array(np.ones(len(keys), dtype=np.int8)),
-                "custkey": pa.array(keys, pa.int64()),
-                "c_nationkey": pa.array(
-                    np.zeros(len(keys), dtype=np.int64), pa.int64()
-                ),
-                "bal_c": pa.array(np.zeros(len(keys), dtype=np.int64)),
-            }
-        )
+        return pa.table({"custkey": pa.array(keys)})
 
-    left = customer.select_columns(
-        ["c_custkey", "c_nationkey", "c_acctbal"]
-    ).map_batches(tag_cust, batch_format="pyarrow")
-    right = orders.select_columns(["o_custkey"]).map_batches(
-        tag_orders, batch_format="pyarrow"
-    )
-
-    def anti_in_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        have = set(group.loc[group["_side"] == 1, "custkey"])
-        cust = group[group["_side"] == 0]
+    def anti_in_bucket(cust: pa.Table, ords: pa.Table) -> pd.DataFrame:
+        have = set(ords["custkey"].to_pylist())
+        cust = cust.to_pandas()
         miss = cust[~cust["custkey"].isin(have)]
         return miss.groupby("c_nationkey", as_index=False).agg(
             n_customers=("custkey", "size"), acctbal_c=("bal_c", "sum")
         )
 
-    from pdf_extractor_ray.functions.common import coalesce_for_exchange
-
-    per_bucket = (
-        coalesce_for_exchange(left.union(right))
-        .groupby("_bucket")
-        .map_groups(anti_in_bucket, batch_format="pandas")
+    i64 = pa.int64()
+    per_bucket = cogroup(
+        {
+            "cust": (
+                customer.select_columns(["c_custkey", "c_nationkey", "c_acctbal"])
+                .map_batches(tag_cust, batch_format="pyarrow"),
+                "custkey",
+                pa.schema([("custkey", i64), ("c_nationkey", i64), ("bal_c", i64)]),
+            ),
+            "ords": (
+                orders.select_columns(["o_custkey"]).map_batches(
+                    tag_orders, batch_format="pyarrow"
+                ),
+                "custkey",
+                pa.schema([("custkey", i64)]),
+            ),
+        },
+        anti_in_bucket,
+        pa.schema([("c_nationkey", i64), ("n_customers", i64), ("acctbal_c", i64)]),
+        n_buckets=n_buckets,
+        coalesce=True,
     )
     return per_bucket.groupby("c_nationkey").aggregate(
         Sum("n_customers", alias_name="n_customers"),
@@ -2212,8 +2028,6 @@ def orders_with_returns(
         price = batch["o_totalprice"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "_bucket": pa.array((np.abs(keys) % n_buckets).astype(np.int64)),
-                "_side": pa.array(np.zeros(len(keys), dtype=np.int8)),
                 "orderkey": pa.array(keys, pa.int64()),
                 "o_orderpriority": batch["o_orderpriority"],
                 "price_c": pa.array(
@@ -2227,15 +2041,7 @@ def orders_with_returns(
 
         flt = batch.filter(pc.equal(batch["l_returnflag"], "R"))
         keys = np.unique(flt["l_orderkey"].to_numpy(zero_copy_only=False))
-        return pa.table(
-            {
-                "_bucket": pa.array((np.abs(keys) % n_buckets).astype(np.int64)),
-                "_side": pa.array(np.ones(len(keys), dtype=np.int8)),
-                "orderkey": pa.array(keys, pa.int64()),
-                "o_orderpriority": pa.array([""] * len(keys), pa.string()),
-                "price_c": pa.array(np.zeros(len(keys), dtype=np.int64)),
-            }
-        )
+        return pa.table({"orderkey": pa.array(keys, pa.int64())})
 
     li = lineitem.select_columns(["l_orderkey", "l_returnflag"])
     orders_src = orders.select_columns(
@@ -2267,23 +2073,36 @@ def orders_with_returns(
             prefilter_orders, batch_format="pyarrow"
         )
 
-    left = orders_src.map_batches(tag_orders, batch_format="pyarrow")
-    right = li.map_batches(tag_lineitem, batch_format="pyarrow")
-
-    def semi_in_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        have = set(group.loc[group["_side"] == 1, "orderkey"])
-        ords = group[group["_side"] == 0]
+    def semi_in_bucket(ords: pa.Table, rets: pa.Table) -> pd.DataFrame:
+        have = set(rets["orderkey"].to_pylist())
+        ords = ords.to_pandas()
         hit = ords[ords["orderkey"].isin(have)]
         return hit.groupby("o_orderpriority", as_index=False).agg(
             n_orders=("orderkey", "size"), totalprice_c=("price_c", "sum")
         )
 
-    from pdf_extractor_ray.functions.common import coalesce_for_exchange
-
-    per_bucket = (
-        coalesce_for_exchange(left.union(right))
-        .groupby("_bucket")
-        .map_groups(semi_in_bucket, batch_format="pandas")
+    i64 = pa.int64()
+    per_bucket = cogroup(
+        {
+            "ords": (
+                orders_src.map_batches(tag_orders, batch_format="pyarrow"),
+                "orderkey",
+                pa.schema(
+                    [("orderkey", i64), ("o_orderpriority", pa.string()), ("price_c", i64)]
+                ),
+            ),
+            "rets": (
+                li.map_batches(tag_lineitem, batch_format="pyarrow"),
+                "orderkey",
+                pa.schema([("orderkey", i64)]),
+            ),
+        },
+        semi_in_bucket,
+        pa.schema(
+            [("o_orderpriority", pa.string()), ("n_orders", i64), ("totalprice_c", i64)]
+        ),
+        n_buckets=n_buckets,
+        coalesce=True,
     )
     return per_bucket.groupby("o_orderpriority").aggregate(
         Sum("n_orders", alias_name="n_orders"),
@@ -2313,44 +2132,20 @@ def customer_order_distribution(
 
     import numpy as np
 
-    def tag_cust(batch: pa.Table) -> pa.Table:
-        keys = batch["c_custkey"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "_bucket": pa.array((np.abs(keys) % n_buckets).astype(np.int64)),
-                "_side": pa.array(np.zeros(len(keys), dtype=np.int8)),
-                "custkey": pa.array(keys, pa.int64()),
-                "n": pa.array(np.zeros(len(keys), dtype=np.int64)),
-            }
-        )
-
     def tag_orders(batch: pa.Table) -> pa.Table:
         keys, counts = np.unique(
             batch["o_custkey"].to_numpy(zero_copy_only=False), return_counts=True
         )
         return pa.table(
             {
-                "_bucket": pa.array((np.abs(keys) % n_buckets).astype(np.int64)),
-                "_side": pa.array(np.ones(len(keys), dtype=np.int8)),
                 "custkey": pa.array(keys, pa.int64()),
                 "n": pa.array(counts.astype(np.int64), pa.int64()),
             }
         )
 
-    left = customer.select_columns(["c_custkey"]).map_batches(
-        tag_cust, batch_format="pyarrow"
-    )
-    right = orders.select_columns(["o_custkey"]).map_batches(
-        tag_orders, batch_format="pyarrow"
-    )
-
-    def hist_in_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        per_cust = (
-            group.loc[group["_side"] == 1]
-            .groupby("custkey", as_index=True)["n"]
-            .sum()
-        )
-        cust = group.loc[group["_side"] == 0, "custkey"]
+    def hist_in_bucket(custs: pa.Table, ords: pa.Table) -> pd.DataFrame:
+        per_cust = ords.to_pandas().groupby("custkey", as_index=True)["n"].sum()
+        cust = custs.to_pandas()["custkey"]
         c_count = per_cust.reindex(cust, fill_value=0).astype(np.int64)
         hist = c_count.value_counts()
         return pd.DataFrame(
@@ -2360,12 +2155,26 @@ def customer_order_distribution(
             }
         )
 
-    from pdf_extractor_ray.functions.common import coalesce_for_exchange
-
-    per_bucket = (
-        coalesce_for_exchange(left.union(right))
-        .groupby("_bucket")
-        .map_groups(hist_in_bucket, batch_format="pandas")
+    i64 = pa.int64()
+    per_bucket = cogroup(
+        {
+            "custs": (
+                customer.select_columns(["c_custkey"]).rename_columns(["custkey"]),
+                "custkey",
+                pa.schema([("custkey", i64)]),
+            ),
+            "ords": (
+                orders.select_columns(["o_custkey"]).map_batches(
+                    tag_orders, batch_format="pyarrow"
+                ),
+                "custkey",
+                pa.schema([("custkey", i64), ("n", i64)]),
+            ),
+        },
+        hist_in_bucket,
+        pa.schema([("c_count", i64), ("custdist", i64)]),
+        n_buckets=n_buckets,
+        coalesce=True,
     )
     return per_bucket.groupby("c_count").aggregate(
         Sum("custdist", alias_name="custdist")
@@ -2524,7 +2333,6 @@ def running_totals(
                 "user_id": uid,
                 "ts": batch["ts"],
                 "value_c": np.floor(val * 100 + 0.5).astype(np.int64),
-                "_bucket": np.abs(uid) % n_buckets,
             }
         )
 
@@ -2533,10 +2341,15 @@ def running_totals(
         g["running_c"] = g.groupby("user_id")["value_c"].cumsum()
         return g[["event_id", "user_id", "value_c", "running_c"]]
 
-    return (
-        events.map_batches(tag, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(cum_in_bucket, batch_format="pandas")
+    return cogroup(
+        {"rows": (events.map_batches(tag, batch_format="pyarrow"), "user_id")},
+        lambda rows: cum_in_bucket(rows.to_pandas()),
+        lambda rows: pa.schema(
+            [rows.field("event_id"), ("user_id", pa.int64()), ("value_c", pa.int64()),
+             ("running_c", pa.int64())]
+        ),
+        n_buckets=n_buckets,
+        coalesce=False,
     )
 
 
@@ -2698,7 +2511,6 @@ def event_trigrams(
                 "event_id": batch["event_id"],
                 "ts": batch["ts"],
                 "event_type": batch["event_type"],
-                "_bucket": np.abs(uid) % n_buckets,
             }
         )
 
@@ -2723,10 +2535,18 @@ def event_trigrams(
         out = df.groupby(["t1", "t2", "t3"], as_index=False).size()
         return out.rename(columns={"size": "n"})
 
+    def trigram_schema(rows: pa.Schema) -> pa.Schema:
+        t = rows.field("event_type").type
+        return pa.schema([("t1", t), ("t2", t), ("t3", t), ("n", pa.int64())])
+
     return (
-        events.map_batches(tag, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(count_in_bucket, batch_format="pandas")
+        cogroup(
+            {"rows": (events.map_batches(tag, batch_format="pyarrow"), "user_id")},
+            lambda rows: count_in_bucket(rows.to_pandas()),
+            trigram_schema,
+            n_buckets=n_buckets,
+            coalesce=False,
+        )
         .groupby(["t1", "t2", "t3"])
         .aggregate(_Sum("n", alias_name="n"))
     )
@@ -2775,7 +2595,6 @@ def full_outer_activity(
         g = df.groupby(["user_id", "event_type"], as_index=False)[
             ["n_a", "n_b"]
         ].sum()
-        g["_bucket"] = bucket_ids(g["user_id"].to_numpy(np.int64), n_buckets)
         return pa.Table.from_pandas(g, preserve_index=False)
 
     def fold(group: pd.DataFrame) -> pd.DataFrame:
@@ -2789,10 +2608,16 @@ def full_outer_activity(
         )
         return g
 
-    return (
-        events.map_batches(partial, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(fold, batch_format="pandas")
+    i64 = pa.int64()
+    return cogroup(
+        {"rows": (events.map_batches(partial, batch_format="pyarrow"), "user_id")},
+        lambda rows: fold(rows.to_pandas()),
+        pa.schema(
+            [("user_id", i64), ("event_type", pa.string()), ("n_a", i64), ("n_b", i64),
+             ("status", pa.string())]
+        ),
+        n_buckets=n_buckets,
+        coalesce=False,
     )
 
 
@@ -2831,37 +2656,31 @@ def conversion_latency(
             .groupby("user_id", as_index=False)["ts"]
             .min()
         )
-        fdf["side"] = np.int8(0)
+        fdf["is_to"] = np.int8(0)
         to_mask = et == to_type
         tdf = pd.DataFrame(
             {
                 "user_id": uid[to_mask],
                 "ts": ts_us[to_mask],
-                "side": np.full(int(to_mask.sum()), 1, np.int8),
+                "is_to": np.full(int(to_mask.sum()), 1, np.int8),
             }
         )
         out = pd.concat([fdf, tdf], ignore_index=True)
-        out["bucket"] = out["user_id"].to_numpy(np.int64) % n_buckets
         return pa.Table.from_pandas(out, preserve_index=False)
 
     def fold(group: pd.DataFrame) -> pd.DataFrame:
         first = (
-            group[group["side"] == 0]
+            group[group["is_to"] == 0]
             .groupby("user_id")["ts"]
             .min()
             .rename("v")
         )
-        to = group[group["side"] == 1].merge(
+        to = group[group["is_to"] == 1].merge(
             first, left_on="user_id", right_index=True
         )
         to = to[to["ts"] >= to["v"]]
         if to.empty:
-            return pd.DataFrame(
-                {
-                    "user_id": pd.Series(dtype=np.int64),
-                    "latency_us": pd.Series(dtype=np.int64),
-                }
-            )
+            return None
         conv = to.groupby("user_id", as_index=False).agg(
             p=("ts", "min"), v=("v", "min")
         )
@@ -2872,14 +2691,19 @@ def conversion_latency(
             }
         )
 
-    return (
-        coalesce_for_exchange(
-            events.select_columns(["user_id", "ts", "event_type"]).map_batches(
-                partial, batch_format="pyarrow"
+    return cogroup(
+        {
+            "rows": (
+                events.select_columns(["user_id", "ts", "event_type"]).map_batches(
+                    partial, batch_format="pyarrow"
+                ),
+                "user_id",
             )
-        )
-        .groupby("bucket")
-        .map_groups(fold, batch_format="pandas")
+        },
+        lambda rows: fold(rows.to_pandas()),
+        pa.schema([("user_id", pa.int64()), ("latency_us", pa.int64())]),
+        n_buckets=n_buckets,
+        coalesce=True,
     )
 
 
@@ -2909,7 +2733,6 @@ def interarrival_stats(
         ).to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "bucket": pa.array(np.abs(uid.astype(np.int64)) % n_buckets),
                 "user_id": pa.array(uid),
                 "ts": pa.array(ts_us),
                 "event_id": batch["event_id"],
@@ -2928,15 +2751,7 @@ def interarrival_stats(
             {"user_id": uid[1:][same_user], "gap": gaps[same_user]}
         )
         if df.empty:
-            return pd.DataFrame(
-                {
-                    "user_id": pd.Series(dtype=np.int64),
-                    "n_gaps": pd.Series(dtype=np.int64),
-                    "min_gap_us": pd.Series(dtype=np.int64),
-                    "max_gap_us": pd.Series(dtype=np.int64),
-                    "sum_gap_us": pd.Series(dtype=np.int64),
-                }
-            )
+            return None
         return df.groupby("user_id", as_index=False).agg(
             n_gaps=("gap", "size"),
             min_gap_us=("gap", "min"),
@@ -2944,14 +2759,23 @@ def interarrival_stats(
             sum_gap_us=("gap", "sum"),
         )
 
-    return (
-        coalesce_for_exchange(
-            events.select_columns(["user_id", "ts", "event_id"]).map_batches(
-                tag, batch_format="pyarrow"
+    i64 = pa.int64()
+    return cogroup(
+        {
+            "rows": (
+                events.select_columns(["user_id", "ts", "event_id"]).map_batches(
+                    tag, batch_format="pyarrow"
+                ),
+                "user_id",
             )
-        )
-        .groupby("bucket")
-        .map_groups(fold, batch_format="pandas")
+        },
+        lambda rows: fold(rows.to_pandas()),
+        pa.schema(
+            [("user_id", i64), ("n_gaps", i64), ("min_gap_us", i64),
+             ("max_gap_us", i64), ("sum_gap_us", i64)]
+        ),
+        n_buckets=n_buckets,
+        coalesce=True,
     )
 
 
@@ -2982,7 +2806,6 @@ def last_touch_attribution(
         ).to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "bucket": pa.array(np.abs(uid.astype(np.int64)) % n_buckets),
                 "user_id": pa.array(uid),
                 "ts": pa.array(ts_us),
                 "event_id": batch["event_id"],
@@ -2996,12 +2819,7 @@ def last_touch_attribution(
         eid = group["event_id"].to_numpy(np.int64)
         et = group["event_type"].to_numpy()
         if len(et) == 0:
-            return pd.DataFrame(
-                {
-                    "attributed_type": pd.Series(dtype=object),
-                    "n": pd.Series(dtype=np.int64),
-                }
-            )
+            return None
         order = np.lexsort((eid, ts, uid))
         uid, et = uid[order], et[order]
         prev = np.empty_like(et)
@@ -3013,14 +2831,19 @@ def last_touch_attribution(
         g = df.groupby("attributed_type", as_index=False).size()
         return g.rename(columns={"size": "n"})
 
-    partials = (
-        coalesce_for_exchange(
-            events.select_columns(
-                ["user_id", "ts", "event_id", "event_type"]
-            ).map_batches(tag, batch_format="pyarrow")
-        )
-        .groupby("bucket")
-        .map_groups(fold, batch_format="pandas")
+    partials = cogroup(
+        {
+            "rows": (
+                events.select_columns(
+                    ["user_id", "ts", "event_id", "event_type"]
+                ).map_batches(tag, batch_format="pyarrow"),
+                "user_id",
+            )
+        },
+        lambda rows: fold(rows.to_pandas()),
+        pa.schema([("attributed_type", pa.string()), ("n", pa.int64())]),
+        n_buckets=n_buckets,
+        coalesce=True,
     )
     return partials.groupby("attributed_type").aggregate(
         Sum("n", alias_name="n")

@@ -22,7 +22,7 @@ import pyarrow as pa
 
 import ray.data
 
-from pdf_extractor_ray.functions.common import bucket_ids, coalesce_for_exchange
+from pdf_extractor_ray.functions.exchange import cogroup
 
 __all__ = [
     "redact_pii_batch",
@@ -120,12 +120,11 @@ def paragraph_hash_counts(
             {
                 "para_hash": pa.array(hashes, pa.string()),
                 "n_docs": pa.array(list(counts.values()), pa.int64()),
-                "_bucket": pa.array(bucket_ids(hashes, n_buckets), pa.int64()),
             }
         )
 
-    def merge(group):
-        g = group.groupby("para_hash", as_index=False).agg(
+    def merge(group: pa.Table):
+        g = group.to_pandas().groupby("para_hash", as_index=False).agg(
             n_docs=("n_docs", "sum")
         )
         g = g[g["n_docs"] >= min_count]
@@ -146,20 +145,14 @@ def paragraph_hash_counts(
                 ["n_docs", "_salt", "para_hash"],
                 ascending=[False, True, True],
             ).head(max_inventory)
-        # typed Arrow output: most buckets are empty after the filter,
-        # and empty object-dtype pandas columns trip Ray's block-size
-        # estimator (log spam, no correctness impact)
-        return pa.table(
-            {
-                "para_hash": pa.array(g["para_hash"], pa.string()),
-                "n_docs": pa.array(g["n_docs"], pa.int64()),
-            }
-        )
+        return g
 
-    inv = (
-        coalesce_for_exchange(ds.map_batches(partial, batch_format="pyarrow"))
-        .groupby("_bucket")
-        .map_groups(merge, batch_format="pandas")
+    inv = cogroup(
+        {"group": (ds.map_batches(partial, batch_format="pyarrow"), "para_hash")},
+        merge,
+        pa.schema([("para_hash", pa.string()), ("n_docs", pa.int64())]),
+        n_buckets=n_buckets,
+        coalesce=True,
     )
     if max_inventory is not None:
         from pdf_extractor_ray.functions.selection import select_top_k_global

@@ -38,6 +38,7 @@ import pyarrow as pa
 import ray.data
 
 from pdf_extractor_ray.functions.common import coalesce_for_exchange
+from pdf_extractor_ray.functions.exchange import cogroup
 
 __all__ = [
     "select_top_k_global",
@@ -514,7 +515,6 @@ def percentile_rank(
         )
         return pa.table(
             {
-                "_bucket": pa.array(np.abs(vals) % 256),
                 "s": pa.array(vals, pa.int64()),
                 "n": pa.array(cnts.astype(np.int64), pa.int64()),
             }
@@ -530,11 +530,13 @@ def percentile_rank(
     # row iteration over pandas-format blocks was measured at
     # ~780us/row (165 s for a 212k-row count table)
     counts = (
-        coalesce_for_exchange(
-            ds.map_batches(hist_partial, batch_format="pyarrow")
+        cogroup(
+            {"group": (ds.map_batches(hist_partial, batch_format="pyarrow"), "s")},
+            lambda group: sum_in_bucket(group.to_pandas()),
+            pa.schema([("s", pa.int64()), ("n", pa.int64())]),
+            n_buckets=256,
+            coalesce=True,
         )
-        .groupby("_bucket")
-        .map_groups(sum_in_bucket, batch_format="pandas")
         .to_pandas()  # bounded by distinct score values (range-bounded contract)
         .sort_values("s")
     )

@@ -42,7 +42,6 @@ __all__ = [
     "cluster_assign",
     "embedding_neardup_bucketed",
     "semantic_dedup",
-    "cosine_topk_local",
     "kmeans_lloyd",
 ]
 
@@ -143,32 +142,6 @@ def _topk_per_query(
     )
 
 
-def cosine_topk_local(
-    queries: np.ndarray, ids: list, vectors: np.ndarray, k: int
-) -> list[list[tuple]]:
-    """Exact top-k over an in-memory matrix; returns per-query lists of
-    (vec_id, cosine) ordered by (cosine desc, vec_id asc).
-
-    ``ids`` are coerced to int64 for the vectorized tie-break when
-    possible (the distributed knn_* entry points always pass int64);
-    non-numeric ids (strings, mixed) fall back to an object-dtype
-    lexsort — same order contract, interpreted comparisons."""
-    qn = _normalize(queries)
-    vn = _normalize(vectors)
-    sims = _gemm_t(qn, vn)  # (Q, N)
-    try:
-        ids_np = np.asarray(ids, dtype=np.int64)
-    except (ValueError, TypeError, OverflowError):
-        ids_np = np.asarray(ids, dtype=object)
-    qi, ni, sc = _topk_per_query(sims, ids_np, k)
-    out: list[list[tuple]] = [[] for _ in range(sims.shape[0])]
-    for q, n, c in zip(qi, ni, sc):
-        out[int(q)].append(
-            (int(n) if isinstance(n, (int, np.integer)) else n, float(c))
-        )
-    return out
-
-
 def knn_bruteforce(
     ds: ray.data.Dataset,
     query_vectors: np.ndarray,
@@ -238,11 +211,6 @@ def _merge_topk(cand: ray.data.Dataset, k: int):
     # per query (measured the dominant cost of the whole knn at
     # Q=10k); 64 buckets keep the same exchange volume and do the
     # per-query head() vectorized inside each bucket.
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = local_topk(df)
-        df["_qb"] = df["query_id"] % 64
-        return df
-
     def final_topk(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(
             ["query_id", "cosine", "neighbor_id"],
@@ -251,13 +219,23 @@ def _merge_topk(cand: ray.data.Dataset, k: int):
         g = g.groupby("query_id", as_index=False).head(k)
         g = g.reset_index(drop=True)
         g["rank"] = g.groupby("query_id").cumcount() + 1
-        return g.drop(columns=["_qb"])
+        return g
 
-    merged = (
-        cand.repartition(32, shuffle=False)
-        .map_batches(add_bucket, batch_format="pandas", batch_size=None)
-        .groupby("_qb")
-        .map_groups(final_topk, batch_format="pandas")
+    from pdf_extractor_ray.functions.exchange import cogroup
+
+    merged = cogroup(
+        {
+            "group": (
+                cand.repartition(32, shuffle=False).map_batches(
+                    local_topk, batch_format="pandas", batch_size=None
+                ),
+                "query_id",
+            )
+        },
+        lambda group: final_topk(group.to_pandas()),
+        lambda group: group.append(pa.field("rank", pa.int64())),
+        n_buckets=64,
+        coalesce=True,
     )
     df = merged.to_pandas()  # final Q x k rows only
     if df.empty:

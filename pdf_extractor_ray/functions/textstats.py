@@ -28,7 +28,8 @@ import re
 
 import pyarrow as pa
 
-from pdf_extractor_ray.functions.common import bucket_ids, coalesce_for_exchange
+from pdf_extractor_ray.functions.common import coalesce_for_exchange
+from pdf_extractor_ray.functions.exchange import cogroup
 
 __all__ = [
     "kwic_snippets",
@@ -126,7 +127,6 @@ def word_topk(ds, k: int = 20, text_col: str = "text"):
             {
                 "word": pa.array(words, pa.string()),
                 "n": pa.array(list(counts.values()), pa.int64()),
-                "_bucket": pa.array(bucket_ids(words, 256), pa.int64()),
             }
         )
 
@@ -140,10 +140,13 @@ def word_topk(ds, k: int = 20, text_col: str = "text"):
         g = group.groupby("word", as_index=False).agg(n=("n", "sum"))
         return g.sort_values(["n", "word"], ascending=[False, True]).head(k)
 
-    agg = (
-        coalesce_for_exchange(ds.map_batches(partial, batch_format="pyarrow"))
-        .groupby("_bucket")
-        .map_groups(bucket_topk, batch_format="pandas")
+    word_n = pa.schema([("word", pa.string()), ("n", pa.int64())])
+    agg = cogroup(
+        {"group": (ds.map_batches(partial, batch_format="pyarrow"), "word")},
+        lambda group: bucket_topk(group.to_pandas()),
+        word_n,
+        n_buckets=256,
+        coalesce=True,
     )
     return agg.sort(["n", "word"], descending=[True, False]).limit(k)
 
@@ -280,23 +283,16 @@ def word_heavy_hitters(ds, k: int = 20, capacity: int = 2048, text_col: str = "t
     import numpy as np
     import pandas as pd
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        words = np.asarray(batch["word"].to_pylist(), dtype=object)
-        b = pd.util.hash_array(words, categorize=False) % np.uint64(64)
-        return batch.append_column("_bucket", pa.array(b.astype(np.int64)))
-
     def bucket_merge_prune(group):
         g = group.groupby("word", as_index=False).agg(n=("n", "sum"))
         return g.nlargest(4 * k, "n")
 
-    cand = (
-        coalesce_for_exchange(
-            ds.map_batches(mg_summary, batch_format="pyarrow").map_batches(
-                add_bucket, batch_format="pyarrow"
-            )
-        )
-        .groupby("_bucket")
-        .map_groups(bucket_merge_prune, batch_format="pandas")
+    cand = cogroup(
+        {"group": (ds.map_batches(mg_summary, batch_format="pyarrow"), "word")},
+        lambda group: bucket_merge_prune(group.to_pandas()),
+        pa.schema([("word", pa.string()), ("n", pa.int64())]),
+        n_buckets=64,
+        coalesce=True,
     )
     cand_df = cand.to_pandas().nlargest(4 * k, "n")
     cand_ref = ray.put(frozenset(cand_df["word"]))
@@ -360,7 +356,6 @@ def tfidf_top_terms(
             {
                 "word": pa.array(words, pa.string()),
                 "df": pa.array(list(counts.values()), pa.int64()),
-                "_bucket": pa.array(bucket_ids(words, 256), pa.int64()),
             }
         )
 
@@ -371,12 +366,13 @@ def tfidf_top_terms(
 
     # coarse word-bucket exchange (vocabulary-keyed aggregate groups
     # explode at web scale), vectorized merge per bucket
-    df_tbl = (
-        coalesce_for_exchange(ds.map_batches(df_partial, batch_format="pyarrow"))
-        .groupby("_bucket")
-        .map_groups(df_merge, batch_format="pandas")
-        .to_pandas()
-    )
+    df_tbl = cogroup(
+        {"group": (ds.map_batches(df_partial, batch_format="pyarrow"), "word")},
+        lambda group: df_merge(group.to_pandas()),
+        pa.schema([("word", pa.string()), ("df", pa.int64())]),
+        n_buckets=256,
+        coalesce=True,
+    ).to_pandas()
     df_tbl = df_tbl[df_tbl["df"] >= min_df]
     idf_ref = ray.put(
         dict(zip(df_tbl["word"], np.log(n_docs / df_tbl["df"].to_numpy())))
@@ -445,10 +441,8 @@ def inverted_index_summary(
             for w in set(_INDEX_TOKEN_RE.findall((text or "").lower())):
                 words_out.append(w)
                 ids_out.append(did)
-        buckets = bucket_ids(words_out, n_buckets)
         return pa.table(
             {
-                "_bucket": pa.array(buckets, pa.int64()),
                 "word": pa.array(words_out, pa.string()),
                 id_col: pa.array(ids_out, pa.int64()),
             }
@@ -468,12 +462,12 @@ def inverted_index_summary(
         agg["df"] = agg["df"].astype("int64")
         return agg[agg["df"] >= min_df]
 
-    from pdf_extractor_ray.functions.common import coalesce_for_exchange
-
-    return (
-        coalesce_for_exchange(ds.map_batches(pairs, batch_format="pyarrow"))
-        .groupby("_bucket")
-        .map_groups(build_shard, batch_format="pandas")
+    return cogroup(
+        {"group": (ds.map_batches(pairs, batch_format="pyarrow"), "word")},
+        lambda group: build_shard(group.to_pandas()),
+        pa.schema([("word", pa.string()), ("df", pa.int64()), ("postings_fp", pa.string())]),
+        n_buckets=n_buckets,
+        coalesce=True,
     )
 
 

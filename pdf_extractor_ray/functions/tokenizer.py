@@ -29,10 +29,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from pdf_extractor_ray.functions.common import (
-    coalesce_for_exchange,
-    coalesce_width as _coalesce_width,
-)
+from pdf_extractor_ray.functions.exchange import cogroup, exchange_width
 from pdf_extractor_ray.functions.shards import cluster_cpus
 from pdf_extractor_ray.kernel.bpe import (
     BPEEncoder,
@@ -129,7 +126,7 @@ def piece_histogram(
     exchange to total, per-bucket min_count pruning. Driver holds
     nothing; the output is the bounded distinct-piece table."""
     if n_buckets is None:
-        n_buckets = 4 * _coalesce_width()
+        n_buckets = 4 * exchange_width()
 
     def partial(batch: pa.Table) -> pa.Table:
         import regex as _regex
@@ -139,26 +136,9 @@ def piece_histogram(
         c: Counter = Counter()
         for t in batch[text_col].to_pylist():
             c.update(pat.findall(t or ""))
-        if not c:
-            return pa.table(
-                {
-                    "bucket": pa.array([], pa.int64()),
-                    "piece": pa.array([], pa.string()),
-                    "cnt": pa.array([], pa.int64()),
-                }
-            )
-        pieces = list(c.keys())
-        import pandas as pd
-
-        hb = pd.util.hash_array(
-            np.array(pieces, dtype=object), categorize=False
-        ).astype(
-            np.int64
-        ) & np.int64(0x7FFFFFFFFFFFFFFF)
         return pa.table(
             {
-                "bucket": pa.array(hb % n_buckets),
-                "piece": pa.array(pieces, pa.string()),
+                "piece": pa.array(list(c.keys()), pa.string()),
                 "cnt": pa.array(list(c.values()), pa.int64()),
             }
         )
@@ -171,10 +151,13 @@ def piece_histogram(
             g = g[g["cnt"] >= min_count]
         return pd.DataFrame({"piece": g["piece"], "cnt": g["cnt"]})
 
-    partials = coalesce_for_exchange(
-        ds.map_batches(partial, batch_format="pyarrow")
+    return cogroup(
+        {"group": (ds.map_batches(partial, batch_format="pyarrow"), "piece")},
+        lambda group: merge(group.to_pandas()),
+        pa.schema([("piece", pa.string()), ("cnt", pa.int64())]),
+        n_buckets=n_buckets,
+        coalesce=True,
     )
-    return partials.groupby("bucket").map_groups(merge, batch_format="pandas")
 
 
 def train_bpe(

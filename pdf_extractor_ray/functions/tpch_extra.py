@@ -65,7 +65,8 @@ import ray
 import ray.data
 from ray.data.aggregate import Sum
 
-from .common import bucket_ids, coalesce_for_exchange
+from .common import coalesce_for_exchange
+from .exchange import cogroup
 
 __all__ = [
     "top_revenue_supplier",
@@ -365,7 +366,6 @@ def sole_return_suppliers(
             }
         )
         g = df.groupby(["ok", "sk"], as_index=False)["ret"].max()
-        g["bucket"] = bucket_ids(g["ok"].to_numpy(np.int64), n_buckets)
         return pa.Table.from_pandas(g, preserve_index=False)
 
     def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
@@ -379,11 +379,13 @@ def sole_return_suppliers(
         return out.rename(columns={"sk": "s_suppkey", "size": "numwait"})
 
     counts = (
-        coalesce_for_exchange(
-            lineitem.map_batches(collapse, batch_format="pyarrow")
+        cogroup(
+            {"group": (lineitem.map_batches(collapse, batch_format="pyarrow"), "ok")},
+            lambda group: per_bucket(group.to_pandas()),
+            lambda group: pa.schema([("s_suppkey", group.field("sk").type), ("numwait", pa.int64())]),
+            n_buckets=n_buckets,
+            coalesce=True,
         )
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pandas")
         .groupby("s_suppkey")
         .aggregate(Sum("numwait", alias_name="numwait"))
         .to_pandas()  # O(#suppliers) rows
@@ -465,46 +467,43 @@ def _rev_cents(ep: np.ndarray, disc: np.ndarray) -> np.ndarray:
 
 
 def _bucket_join(
-    fact: ray.data.Dataset,
-    dim: ray.data.Dataset,
+    fact: tuple,
+    dim: tuple,
     post: Callable[[pd.DataFrame, pd.DataFrame], pd.DataFrame],
+    out_schema: pa.Schema,
+    n_buckets: int,
 ) -> ray.data.Dataset:
-    """One coarse-bucket cogroup exchange: both inputs must already
-    carry aligned schemas with ``bucket`` (int64) and ``side`` (1 =
-    fact, 0 = dim) columns. ``post(facts, dims)`` runs once per bucket
-    on the two pandas sides and must return the (pre-aggregated)
-    partial rows for the next stage."""
-
-    def merge(group: pd.DataFrame) -> pd.DataFrame:
-        return post(
-            group[group["side"] == 1], group[group["side"] == 0]
-        )
-
-    return (
-        coalesce_for_exchange(fact.union(dim))
-        .groupby("bucket")
-        .map_groups(merge, batch_format="pandas")
+    """One coarse-bucket cogroup on the ``key`` column: ``fact`` and
+    ``dim`` are ``(ds, payload schema)`` pairs, and ``post(facts,
+    dims)`` runs once per bucket on the two pandas sides and returns
+    the (pre-aggregated) partial rows for the next stage."""
+    return cogroup(
+        {"facts": (fact[0], "key", fact[1]), "dims": (dim[0], "key", dim[1])},
+        lambda facts, dims: post(facts.to_pandas(), dims.to_pandas()),
+        out_schema,
+        n_buckets=n_buckets,
+        coalesce=True,
     )
 
 
+_I64 = pa.int64()
+_REVENUE = pa.schema([("revenue_c", _I64)])
+
+
 def _single_fold(
-    partials: ray.data.Dataset, fold: Callable[[pd.DataFrame], pd.DataFrame]
+    partials: ray.data.Dataset,
+    fold: Callable[[pd.DataFrame], pd.DataFrame],
+    out_schema: pa.Schema,
 ) -> ray.data.Dataset:
     """Fold a tiny partial stream (one row per upstream batch) in one
     task — the driver never touches rows."""
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__g", pa.array(np.zeros(len(batch), np.int64))
-        )
-
-    def merge(group: pd.DataFrame) -> pd.DataFrame:
-        return fold(group.drop(columns="__g"))
-
-    return (
-        partials.map_batches(tag, batch_format="pyarrow")
-        .groupby("__g")
-        .map_groups(merge, batch_format="pandas")
+    key = out_schema.names[0]
+    return cogroup(
+        {"rows": (partials, key)},
+        lambda rows: fold(rows.to_pandas()),
+        out_schema,
+        n_buckets=1,
+        coalesce=False,
     )
 
 
@@ -549,6 +548,7 @@ def discount_band_revenue(
         lambda df: pd.DataFrame(
             {"revenue_c": np.array([df["revenue_c"].sum()], np.int64)}
         ),
+        _REVENUE,
     )
 
 
@@ -580,16 +580,7 @@ def late_lines_by_priority(
         day = (ship.astype("datetime64[D]").astype(np.int64)).astype(
             np.int64
         )
-        n = len(k)
-        return pa.table(
-            {
-                "key": k,
-                "day": day,
-                "prio": pa.array([""] * n, pa.string()),
-                "side": np.ones(n, np.int8),
-                "bucket": np.abs(k) % n_buckets,
-            }
-        )
+        return pa.table({"key": k, "day": day})
 
     def tag_od(batch: pa.Table) -> pa.Table:
         k = batch["o_orderkey"].to_numpy(zero_copy_only=False).astype(
@@ -599,15 +590,7 @@ def late_lines_by_priority(
             zero_copy_only=False
         )
         day = od.astype("datetime64[D]").astype(np.int64)
-        return pa.table(
-            {
-                "key": k,
-                "day": day,
-                "prio": batch["o_orderpriority"],
-                "side": np.zeros(len(k), np.int8),
-                "bucket": np.abs(k) % n_buckets,
-            }
-        )
+        return pa.table({"key": k, "day": day, "prio": batch["o_orderpriority"]})
 
     def post(facts: pd.DataFrame, dims: pd.DataFrame) -> pd.DataFrame:
         m = facts[["key", "day"]].merge(
@@ -634,10 +617,18 @@ def late_lines_by_priority(
             }
         )
 
+    key_day = [("key", _I64), ("day", _I64)]
     joined = _bucket_join(
-        lineitem.map_batches(tag_li, batch_format="pyarrow"),
-        orders.map_batches(tag_od, batch_format="pyarrow"),
+        (lineitem.map_batches(tag_li, batch_format="pyarrow"), pa.schema(key_day)),
+        (
+            orders.map_batches(tag_od, batch_format="pyarrow"),
+            pa.schema(key_day + [("prio", pa.string())]),
+        ),
         post,
+        pa.schema(
+            [("o_orderpriority", pa.string()), ("n_late", _I64), ("n_lines", _I64)]
+        ),
+        n_buckets,
     )
     return joined.groupby("o_orderpriority").aggregate(
         Sum("n_late", alias_name="n_late"),
@@ -674,32 +665,13 @@ def supplier_count_by_part(
                 .astype(np.int64),
             }
         ).drop_duplicates()
-        g = df
-        return pa.table(
-            {
-                "key": g["key"].to_numpy(np.int64),
-                "supp": g["supp"].to_numpy(np.int64),
-                "brand": pa.array([""] * len(g), pa.string()),
-                "ptype": pa.array([""] * len(g), pa.string()),
-                "side": np.ones(len(g), np.int8),
-                "bucket": np.abs(g["key"].to_numpy(np.int64)) % n_buckets,
-            }
-        )
+        return pa.Table.from_pandas(df, preserve_index=False)
 
     def tag_part(batch: pa.Table) -> pa.Table:
         keep = pc.not_equal(batch["p_brand"], exclude_brand)
         t = batch.filter(keep)
         k = t["p_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "key": k,
-                "supp": np.zeros(len(k), np.int64),
-                "brand": t["p_brand"],
-                "ptype": t["p_type"],
-                "side": np.zeros(len(k), np.int8),
-                "bucket": np.abs(k) % n_buckets,
-            }
-        )
+        return pa.table({"key": k, "brand": t["p_brand"], "ptype": t["p_type"]})
 
     def post(facts: pd.DataFrame, dims: pd.DataFrame) -> pd.DataFrame:
         m = (
@@ -710,18 +682,21 @@ def supplier_count_by_part(
             )
         )
         m = m[["brand", "ptype", "supp"]].drop_duplicates()
-        h = pd.util.hash_pandas_object(
-            m["brand"] + "\x1f" + m["ptype"], index=False
-        )
-        m = m.assign(
-            bucket=(h % np.uint64(n_buckets)).astype(np.int64)
-        )
-        return m
+        return m.assign(bt=m["brand"] + "\x1f" + m["ptype"])
 
+    s64 = pa.string()
     triples = _bucket_join(
-        lineitem.map_batches(tag_li, batch_format="pyarrow"),
-        part.map_batches(tag_part, batch_format="pyarrow"),
+        (
+            lineitem.map_batches(tag_li, batch_format="pyarrow"),
+            pa.schema([("key", _I64), ("supp", _I64)]),
+        ),
+        (
+            part.map_batches(tag_part, batch_format="pyarrow"),
+            pa.schema([("key", _I64), ("brand", s64), ("ptype", s64)]),
+        ),
         post,
+        pa.schema([("brand", s64), ("ptype", s64), ("supp", _I64), ("bt", s64)]),
+        n_buckets,
     )
 
     def count_distinct(group: pd.DataFrame) -> pd.DataFrame:
@@ -739,10 +714,12 @@ def supplier_count_by_part(
             }
         )
 
-    return (
-        coalesce_for_exchange(triples)
-        .groupby("bucket")
-        .map_groups(count_distinct, batch_format="pandas")
+    return cogroup(
+        {"group": (triples, "bt")},
+        lambda group: count_distinct(group.to_pandas()),
+        pa.schema([("p_brand", s64), ("p_type", s64), ("supplier_cnt", _I64)]),
+        n_buckets=n_buckets,
+        coalesce=True,
     )
 
 
@@ -776,17 +753,7 @@ def disjunctive_revenue(
             .to_numpy(zero_copy_only=False)
             .astype(np.int64)
         )
-        return pa.table(
-            {
-                "key": k,
-                "qty": qty,
-                "rev_c": _rev_cents(ep, disc),
-                "size": np.zeros(len(k), np.int64),
-                "brand": pa.array([""] * len(k), pa.string()),
-                "side": np.ones(len(k), np.int8),
-                "bucket": np.abs(k) % n_buckets,
-            }
-        )
+        return pa.table({"key": k, "qty": qty, "rev_c": _rev_cents(ep, disc)})
 
     def tag_part(batch: pa.Table) -> pa.Table:
         k = batch["p_partkey"].to_numpy(zero_copy_only=False).astype(
@@ -795,14 +762,10 @@ def disjunctive_revenue(
         return pa.table(
             {
                 "key": k,
-                "qty": np.zeros(len(k), np.int64),
-                "rev_c": np.zeros(len(k), np.int64),
                 "size": batch["p_size"]
                 .to_numpy(zero_copy_only=False)
                 .astype(np.int64),
                 "brand": batch["p_brand"],
-                "side": np.zeros(len(k), np.int8),
-                "bucket": np.abs(k) % n_buckets,
             }
         )
 
@@ -831,15 +794,24 @@ def disjunctive_revenue(
         )
 
     partials = _bucket_join(
-        lineitem.map_batches(tag_li, batch_format="pyarrow"),
-        part.map_batches(tag_part, batch_format="pyarrow"),
+        (
+            lineitem.map_batches(tag_li, batch_format="pyarrow"),
+            pa.schema([("key", _I64), ("qty", _I64), ("rev_c", _I64)]),
+        ),
+        (
+            part.map_batches(tag_part, batch_format="pyarrow"),
+            pa.schema([("key", _I64), ("size", _I64), ("brand", pa.string())]),
+        ),
         post,
+        _REVENUE,
+        n_buckets,
     )
     return _single_fold(
         partials,
         lambda df: pd.DataFrame(
             {"revenue_c": np.array([df["revenue_c"].sum()], np.int64)}
         ),
+        _REVENUE,
     )
 
 
@@ -887,17 +859,7 @@ def min_acctbal_supplier(
                 .astype(np.int64),
             }
         ).drop_duplicates()
-        return pa.table(
-            {
-                "key": df["key"].to_numpy(np.int64),
-                "part": df["part"].to_numpy(np.int64),
-                "acct_c": np.zeros(len(df), np.int64),
-                "nat": np.zeros(len(df), np.int64),
-                "side": np.ones(len(df), np.int8),
-                "bucket": np.abs(df["key"].to_numpy(np.int64))
-                % n_buckets,
-            }
-        )
+        return pa.Table.from_pandas(df, preserve_index=False)
 
     def tag_su(batch: pa.Table) -> pa.Table:
         k = batch["s_suppkey"].to_numpy(zero_copy_only=False).astype(
@@ -906,15 +868,12 @@ def min_acctbal_supplier(
         return pa.table(
             {
                 "key": k,
-                "part": np.zeros(len(k), np.int64),
                 "acct_c": _cents(
                     batch["s_acctbal"].to_numpy(zero_copy_only=False)
                 ),
                 "nat": batch["s_nationkey"]
                 .to_numpy(zero_copy_only=False)
                 .astype(np.int64),
-                "side": np.zeros(len(k), np.int8),
-                "bucket": np.abs(k) % n_buckets,
             }
         )
 
@@ -935,19 +894,23 @@ def min_acctbal_supplier(
                 "key": m["part"].to_numpy(np.int64),  # partkey now
                 "supp": m["key"].to_numpy(np.int64),
                 "acct_c": m["acct_c"].to_numpy(np.int64),
-                "bucket": np.abs(m["part"].to_numpy(np.int64))
-                % n_buckets,
-                "side": np.ones(len(m), np.int8),
             }
         )
 
+    cand_schema = pa.schema([("key", _I64), ("supp", _I64), ("acct_c", _I64)])
     cands = _bucket_join(
-        lineitem.map_batches(tag_li, batch_format="pyarrow"),
-        supplier.map_batches(tag_su, batch_format="pyarrow"),
+        (
+            lineitem.map_batches(tag_li, batch_format="pyarrow"),
+            pa.schema([("key", _I64), ("part", _I64)]),
+        ),
+        (
+            supplier.map_batches(tag_su, batch_format="pyarrow"),
+            pa.schema([("key", _I64), ("acct_c", _I64), ("nat", _I64)]),
+        ),
         post1,
-    ).map_batches(lambda t: t, batch_format="pyarrow")
-    # identity pass converts the pandas-block map_groups output to
-    # Arrow blocks so the next union doesn't mix block types
+        cand_schema,
+        n_buckets,
+    )
 
     def tag_part(batch: pa.Table) -> pa.Table:
         keep = pc.and_(
@@ -956,15 +919,7 @@ def min_acctbal_supplier(
         )
         t = batch.filter(keep)
         k = t["p_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "key": k,
-                "supp": np.zeros(len(k), np.int64),
-                "acct_c": np.zeros(len(k), np.int64),
-                "bucket": np.abs(k) % n_buckets,
-                "side": np.zeros(len(k), np.int8),
-            }
-        )
+        return pa.table({"key": k})
 
     def post2(facts: pd.DataFrame, dims: pd.DataFrame) -> pd.DataFrame:
         m = facts[facts["key"].isin(set(dims["key"]))]
@@ -980,7 +935,11 @@ def min_acctbal_supplier(
         )
 
     return _bucket_join(
-        cands, part.map_batches(tag_part, batch_format="pyarrow"), post2
+        (cands, cand_schema),
+        (part.map_batches(tag_part, batch_format="pyarrow"), pa.schema([("key", _I64)])),
+        post2,
+        pa.schema([("p_partkey", _I64), ("s_suppkey", _I64), ("acctbal_c", _I64)]),
+        n_buckets,
     )
 
 
@@ -1022,29 +981,13 @@ def dominant_part_suppliers(
             }
         )
         g = df.groupby(["key", "supp"], as_index=False)["qty"].sum()
-        return pa.table(
-            {
-                "key": g["key"].to_numpy(np.int64),
-                "supp": g["supp"].to_numpy(np.int64),
-                "qty": g["qty"].to_numpy(np.int64),
-                "side": np.ones(len(g), np.int8),
-                "bucket": np.abs(g["key"].to_numpy(np.int64)) % n_buckets,
-            }
-        )
+        return pa.Table.from_pandas(g, preserve_index=False)
 
     def tag_part(batch: pa.Table) -> pa.Table:
         keep = pc.match_substring(batch["p_name"], name_token)
         t = batch.filter(keep)
         k = t["p_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "key": k,
-                "supp": np.zeros(len(k), np.int64),
-                "qty": np.zeros(len(k), np.int64),
-                "side": np.zeros(len(k), np.int8),
-                "bucket": np.abs(k) % n_buckets,
-            }
-        )
+        return pa.table({"key": k})
 
     def post(facts: pd.DataFrame, dims: pd.DataFrame) -> pd.DataFrame:
         m = facts[facts["key"].isin(set(dims["key"]))]
@@ -1063,9 +1006,17 @@ def dominant_part_suppliers(
         )
 
     return _bucket_join(
-        lineitem.map_batches(tag_li, batch_format="pyarrow"),
-        part.map_batches(tag_part, batch_format="pyarrow"),
+        (
+            lineitem.map_batches(tag_li, batch_format="pyarrow"),
+            pa.schema([("key", _I64), ("supp", _I64), ("qty", _I64)]),
+        ),
+        (part.map_batches(tag_part, batch_format="pyarrow"), pa.schema([("key", _I64)])),
         post,
+        pa.schema(
+            [("p_partkey", _I64), ("l_suppkey", _I64), ("supp_qty", _I64),
+             ("total_qty", _I64)]
+        ),
+        n_buckets,
     )
 
 
@@ -1109,8 +1060,6 @@ def profit_by_nation_year(
                 .to_numpy(zero_copy_only=False)
                 .astype(np.int64),
                 "money": _rev_cents(ep, disc),
-                "side": np.ones(len(k), np.int8),
-                "bucket": np.abs(k) % n_buckets,
             }
         )
 
@@ -1118,18 +1067,12 @@ def profit_by_nation_year(
         keep = pc.match_substring(batch["p_name"], name_token)
         t = batch.filter(keep)
         k = t["p_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        n = len(k)
         return pa.table(
             {
                 "key": k,
-                "a": np.zeros(n, np.int64),
-                "b": np.zeros(n, np.int64),
-                "qty": np.zeros(n, np.int64),
                 "money": _cents(
                     t["p_retailprice"].to_numpy(zero_copy_only=False)
                 ),
-                "side": np.zeros(n, np.int8),
-                "bucket": np.abs(k) % n_buckets,
             }
         )
 
@@ -1159,10 +1102,19 @@ def profit_by_nation_year(
             }
         )
 
+    key_money = pa.schema([("key", _I64), ("money", _I64)])
+    stage = pa.schema([("key", _I64), ("a", _I64), ("b", _I64), ("money", _I64)])
     s1 = _bucket_join(
-        lineitem.map_batches(tag_li, batch_format="pyarrow"),
-        part.map_batches(tag_part, batch_format="pyarrow"),
+        (
+            lineitem.map_batches(tag_li, batch_format="pyarrow"),
+            pa.schema(
+                [("key", _I64), ("a", _I64), ("b", _I64), ("qty", _I64), ("money", _I64)]
+            ),
+        ),
+        (part.map_batches(tag_part, batch_format="pyarrow"), key_money),
         post1,
+        stage,
+        n_buckets,
     )
 
     def tag_orders(batch: pa.Table) -> pa.Table:
@@ -1170,58 +1122,20 @@ def profit_by_nation_year(
             np.int64
         )
         yr = pc.year(batch["o_orderdate"]).to_numpy(zero_copy_only=False)
-        n = len(k)
-        return pa.table(
-            {
-                "key": k,
-                "a": yr.astype(np.int64),
-                "b": np.zeros(n, np.int64),
-                "money": np.zeros(n, np.int64),
-                "side": np.zeros(n, np.int8),
-                "bucket": np.abs(k) % n_buckets,
-            }
-        )
+        return pa.table({"key": k, "a": yr.astype(np.int64)})
 
     def tag_su(batch: pa.Table) -> pa.Table:
         k = batch["s_suppkey"].to_numpy(zero_copy_only=False).astype(
             np.int64
         )
-        n = len(k)
         return pa.table(
             {
                 "key": k,
                 "a": batch["s_nationkey"]
                 .to_numpy(zero_copy_only=False)
                 .astype(np.int64),
-                "b": np.zeros(n, np.int64),
-                "money": np.zeros(n, np.int64),
-                "side": np.zeros(n, np.int8),
-                "bucket": np.abs(k) % n_buckets,
             }
         )
-
-    def rebucket(ds: ray.data.Dataset) -> ray.data.Dataset:
-        def tag(batch: pa.Table) -> pa.Table:
-            k = batch["key"].to_numpy(zero_copy_only=False).astype(np.int64)
-            n = len(k)
-            return pa.table(
-                {
-                    "key": k,
-                    "a": batch["a"]
-                    .to_numpy(zero_copy_only=False)
-                    .astype(np.int64),
-                    "b": batch["b"]
-                    .to_numpy(zero_copy_only=False)
-                    .astype(np.int64),
-                    "money": batch["money"]
-                    .to_numpy(zero_copy_only=False)
-                    .astype(np.int64),
-                    "side": np.ones(n, np.int8),
-                    "bucket": np.abs(k) % n_buckets,
-                }
-            )
-
-        return ds.map_batches(tag, batch_format="pyarrow")
 
     # stage 2: x orders on orderkey -> key=suppkey, b=o_year
     def post2(facts: pd.DataFrame, dims: pd.DataFrame) -> pd.DataFrame:
@@ -1240,10 +1154,13 @@ def profit_by_nation_year(
             }
         )
 
+    key_a = pa.schema([("key", _I64), ("a", _I64)])
     s2 = _bucket_join(
-        rebucket(s1),
-        orders.map_batches(tag_orders, batch_format="pyarrow"),
+        (s1, stage),
+        (orders.map_batches(tag_orders, batch_format="pyarrow"), key_a),
         post2,
+        stage,
+        n_buckets,
     )
 
     # stage 3: x supplier on suppkey -> (s_nat, o_year)
@@ -1263,9 +1180,11 @@ def profit_by_nation_year(
         )
 
     s3 = _bucket_join(
-        rebucket(s2),
-        supplier.map_batches(tag_su, batch_format="pyarrow"),
+        (s2, stage),
+        (supplier.map_batches(tag_su, batch_format="pyarrow"), key_a),
         post3,
+        pa.schema([("s_nat", _I64), ("o_year", _I64), ("profit_part", _I64)]),
+        n_buckets,
     )
 
     agg = s3.groupby(["s_nat", "o_year"]).aggregate(

@@ -207,18 +207,13 @@ def robots_gate(
         parse_robots,
         select_group,
     )
-    from pdf_extractor_ray.functions.common import (
-        bucket_ids,
-        coalesce_for_exchange,
-    )
+    from pdf_extractor_ray.functions.exchange import cogroup
 
     def tag_urls(batch: pa.Table) -> pa.Table:
         us = batch[url_col].to_pylist()
         hosts = [(urlsplit(u).hostname or "").lower() for u in us]
         return pa.table(
             {
-                "_bucket": pa.array(bucket_ids(hosts, n_buckets), pa.int64()),
-                "_side": pa.array(np.zeros(len(us), dtype=np.int8)),
                 "host": pa.array(hosts, pa.string()),
                 "u": pa.array(us, pa.string()),
             }
@@ -228,22 +223,17 @@ def robots_gate(
         hosts = [(h or "").lower() for h in batch[host_col].to_pylist()]
         return pa.table(
             {
-                "_bucket": pa.array(bucket_ids(hosts, n_buckets), pa.int64()),
-                "_side": pa.array(np.ones(len(hosts), dtype=np.int8)),
                 "host": pa.array(hosts, pa.string()),
                 "u": batch[txt_col],
             }
         )
 
-    def gate(group: pd.DataFrame) -> pa.Table:
+    def gate(side_u: pa.Table, rules: pa.Table) -> pa.Table:
         rules_by_host = {
             h: compile_rules(select_group(parse_robots(t or ""), agent))
-            for h, t in zip(
-                group[group["_side"] == 1]["host"],
-                group[group["_side"] == 1]["u"],
-            )
+            for h, t in zip(rules["host"].to_pylist(), rules["u"].to_pylist())
         }
-        side_u = group[group["_side"] == 0]
+        side_u = side_u.to_pandas()
         urls_out, hosts_out, allowed = [], [], []
         for h, u in zip(side_u["host"], side_u["u"]):
             compiled = rules_by_host.get(h)
@@ -266,13 +256,16 @@ def robots_gate(
             }
         )
 
-    tagged = urls.map_batches(tag_urls, batch_format="pyarrow").union(
-        robots.map_batches(tag_robots, batch_format="pyarrow")
-    )
-    return (
-        coalesce_for_exchange(tagged)
-        .groupby("_bucket")
-        .map_groups(gate, batch_format="pandas")
+    host_u = pa.schema([("host", pa.string()), ("u", pa.string())])
+    return cogroup(
+        {
+            "side_u": (urls.map_batches(tag_urls, batch_format="pyarrow"), "host", host_u),
+            "rules": (robots.map_batches(tag_robots, batch_format="pyarrow"), "host", host_u),
+        },
+        gate,
+        pa.schema([("url", pa.string()), ("host", pa.string()), ("allowed", pa.int64())]),
+        n_buckets=n_buckets,
+        coalesce=True,
     )
 
 

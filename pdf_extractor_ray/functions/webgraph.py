@@ -20,10 +20,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from pdf_extractor_ray.functions.common import (
-    coalesce_for_exchange,
-    coalesce_width as _coalesce_width,
-)
+from pdf_extractor_ray.functions.exchange import cogroup, exchange_width
 from pdf_extractor_ray.kernel.html_to_md import extract_anchors
 
 __all__ = [
@@ -88,7 +85,7 @@ def anchor_stats(
     href-hash-bucket exchange totals links and counts distinct
     sources per target."""
     if n_buckets is None:
-        n_buckets = 2 * _coalesce_width()
+        n_buckets = 2 * exchange_width()
 
     def partial(batch: pa.Table) -> pa.Table:
         import pandas as pd
@@ -100,12 +97,8 @@ def anchor_stats(
             }
         )
         g = df.groupby(["href", "src"], as_index=False).size()
-        hb = pd.util.hash_array(
-            g["href"].to_numpy(dtype=object), categorize=False
-        ).astype(np.int64) & np.int64(0x7FFFFFFFFFFFFFFF)
         return pa.table(
             {
-                "bucket": pa.array(hb % n_buckets),
                 "href": pa.array(g["href"], pa.string()),
                 "src": pa.array(g["src"], pa.string()),
                 "cnt": pa.array(g["size"].to_numpy(np.int64)),
@@ -126,10 +119,13 @@ def anchor_stats(
             }
         )
 
-    partials = coalesce_for_exchange(
-        links.map_batches(partial, batch_format="pyarrow")
+    return cogroup(
+        {"group": (links.map_batches(partial, batch_format="pyarrow"), "href")},
+        lambda group: total(group.to_pandas()),
+        pa.schema([("href", pa.string()), ("n_inlinks", pa.int64()), ("n_src", pa.int64())]),
+        n_buckets=n_buckets,
+        coalesce=True,
     )
-    return partials.groupby("bucket").map_groups(total, batch_format="pandas")
 
 
 def page_head_meta(
@@ -252,8 +248,6 @@ def resolve_redirects(
     import pandas as pd
     import pyarrow.compute as pc
 
-    from pdf_extractor_ray.functions.common import bucket_ids
-
     def init(batch: pa.Table) -> pa.Table:
         n = len(batch)
         return pa.table(
@@ -273,8 +267,6 @@ def resolve_redirects(
                 "src": pend["src"],
                 "cur": pend["cur"],
                 "hops": pend["hops"],
-                "done": pend["done"],
-                "side": pa.array([0] * len(pend), pa.int64()),
             }
         )
 
@@ -282,27 +274,17 @@ def resolve_redirects(
         return pa.table(
             {
                 "key": batch["src"],
-                "src": batch["src"],
                 "cur": batch["cur"],
                 "hops": batch["hops"],
                 "done": batch["done"],
-                "side": pa.array([1] * len(batch), pa.int64()),
             }
         )
 
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "bucket",
-            pa.array(bucket_ids(batch["key"], n_buckets), pa.int64()),
-        )
-
-    def step(group: pd.DataFrame) -> pd.DataFrame:
+    def step(probes: pa.Table, maps: pa.Table) -> pd.DataFrame:
         # vectorized probe->map join (a URL is a map key at most once,
         # so the left merge is 1:at-most-1 and never fans out)
-        maps = group.loc[group["side"] == 1, ["key", "cur", "hops", "done"]]
-        probes = group.loc[
-            group["side"] == 0, ["key", "src", "cur", "hops"]
-        ]
+        maps = maps.to_pandas()
+        probes = probes.to_pandas()
         j = probes.merge(
             maps, on="key", how="left", suffixes=("", "_m"), copy=False
         )
@@ -322,6 +304,10 @@ def resolve_redirects(
         )
         return out
 
+    s64, i64 = pa.string(), pa.int64()
+    probe_schema = pa.schema([("key", s64), ("src", s64), ("cur", s64), ("hops", i64)])
+    map_schema = pa.schema([("key", s64), ("cur", s64), ("hops", i64), ("done", i64)])
+    state_schema = pa.schema([("src", s64), ("cur", s64), ("hops", i64), ("done", i64)])
     state = edges.map_batches(init, batch_format="pyarrow").materialize()
     prev_pending = None
     for _ in range(max_rounds):
@@ -339,11 +325,15 @@ def resolve_redirects(
             batch_format="pyarrow",
         )
         mapside = state.map_batches(to_map, batch_format="pyarrow")
-        both = coalesce_for_exchange(
-            pending.union(mapside).map_batches(tag, batch_format="pyarrow")
-        )
-        advanced = both.groupby("bucket").map_groups(
-            step, batch_format="pandas"
+        advanced = cogroup(
+            {
+                "probes": (pending, "key", probe_schema),
+                "maps": (mapside, "key", map_schema),
+            },
+            step,
+            state_schema,
+            n_buckets=n_buckets,
+            coalesce=True,
         )
         state = advanced.union(finished).materialize()
 
@@ -425,7 +415,6 @@ def hreflang_clusters(
     ``(cluster_key, n_pages, n_langs, langs)`` per cluster."""
     import pandas as pd
 
-    from pdf_extractor_ray.functions.common import bucket_ids
     from pdf_extractor_ray.kernel.html_to_md import extract_hreflang
 
     def page_rows(batch: pa.Table) -> pa.Table:
@@ -443,15 +432,11 @@ def hreflang_clusters(
                 continue
             keys.append(min(href for _, href in alts))
             langs_joined.append(",".join(sorted({l for l, _ in alts})))
-        out = pa.table(
+        return pa.table(
             {
                 "cluster_key": pa.array(keys, pa.string()),
                 "langs": pa.array(langs_joined, pa.string()),
             }
-        )
-        return out.append_column(
-            "bucket",
-            pa.array(bucket_ids(out["cluster_key"], n_buckets), pa.int64()),
         )
 
     def rollup(group: pd.DataFrame) -> pd.DataFrame:
@@ -463,10 +448,16 @@ def hreflang_clusters(
         )
         return agg[["cluster_key", "n_pages", "n_langs", "langs"]]
 
-    rows = coalesce_for_exchange(
-        ds.map_batches(page_rows, batch_format="pyarrow")
+    return cogroup(
+        {"group": (ds.map_batches(page_rows, batch_format="pyarrow"), "cluster_key")},
+        lambda group: rollup(group.to_pandas()),
+        pa.schema(
+            [("cluster_key", pa.string()), ("n_pages", pa.int64()),
+             ("n_langs", pa.int64()), ("langs", pa.string())]
+        ),
+        n_buckets=n_buckets,
+        coalesce=True,
     )
-    return rows.groupby("bucket").map_groups(rollup, batch_format="pandas")
 
 
 def outlink_features(
@@ -613,48 +604,25 @@ def canonical_clusters(
     import pandas as pd
     import pyarrow.compute as pc
 
-    from pdf_extractor_ray.functions.common import (
-        bucket_ids,
-        coalesce_for_exchange,
-    )
-
     finals = resolve_redirects(
         redirect_edges, max_rounds=max_rounds
     )
 
     def tag_map(batch: pa.Table) -> pa.Table:
         ok = batch.filter(pc.equal(batch["is_cycle"], 0))
-        return pa.table(
-            {
-                "key": ok["src_url"],
-                "val": ok["final_url"],
-                "hops": ok["n_hops"],
-                "side": pa.array(np.zeros(len(ok), dtype=np.int8)),
-                "_bucket": pa.array(bucket_ids(ok["src_url"], n_buckets)),
-            }
-        )
+        return pa.table({"key": ok["src_url"], "val": ok["final_url"]})
 
     def tag_pages(batch: pa.Table) -> pa.Table:
         urls = batch[url_col].to_pylist()
         canon = batch[canonical_col].to_pylist()
         keys = [c if c else u for u, c in zip(urls, canon)]
-        return pa.table(
-            {
-                "key": pa.array(keys, pa.string()),
-                "val": pa.array(urls, pa.string()),
-                "hops": pa.array(np.zeros(len(urls), dtype=np.int64)),
-                "side": pa.array(np.ones(len(urls), dtype=np.int8)),
-                "_bucket": pa.array(bucket_ids(keys, n_buckets)),
-            }
-        )
+        return pa.table({"key": pa.array(keys, pa.string())})
 
-    def resolve(group: pd.DataFrame) -> pd.DataFrame:
-        m = group[group["side"] == 0]
-        pg = group[group["side"] == 1]
-        if pg.empty:
-            return pd.DataFrame(
-                {"cluster_url": [], "red": []}
-            ).astype({"cluster_url": "object", "red": "int64"})
+    def resolve(m: pa.Table, pg: pa.Table) -> pd.DataFrame | None:
+        if not pg.num_rows:
+            return None
+        m = m.to_pandas()
+        pg = pg.to_pandas()
         fmap = pd.Series(m["val"].to_numpy(), index=m["key"].to_numpy())
         resolved = fmap.reindex(pg["key"].to_numpy())
         hit = resolved.notna().to_numpy()
@@ -663,21 +631,25 @@ def canonical_clusters(
             {"cluster_url": cluster, "red": hit.astype(np.int64)}
         )
 
-    resolved = (
-        coalesce_for_exchange(
-            finals.map_batches(tag_map, batch_format="pyarrow").union(
-                pages.map_batches(tag_pages, batch_format="pyarrow")
-            )
-        )
-        .groupby("_bucket")
-        .map_groups(resolve, batch_format="pandas")
+    s64 = pa.string()
+    resolved = cogroup(
+        {
+            "m": (
+                finals.map_batches(tag_map, batch_format="pyarrow"),
+                "key",
+                pa.schema([("key", s64), ("val", s64)]),
+            ),
+            "pg": (
+                pages.map_batches(tag_pages, batch_format="pyarrow"),
+                "key",
+                pa.schema([("key", s64)]),
+            ),
+        },
+        resolve,
+        pa.schema([("cluster_url", s64), ("red", pa.int64())]),
+        n_buckets=n_buckets,
+        coalesce=True,
     )
-
-    def tag_cluster(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_cbucket",
-            pa.array(bucket_ids(batch["cluster_url"], n_buckets)),
-        )
 
     def rollup(group: pd.DataFrame) -> pd.DataFrame:
         g = group.groupby("cluster_url", as_index=False).agg(
@@ -685,12 +657,14 @@ def canonical_clusters(
         )
         return g.astype({"n_pages": "int64", "n_redirected": "int64"})
 
-    return (
-        coalesce_for_exchange(
-            resolved.map_batches(tag_cluster, batch_format="pyarrow")
-        )
-        .groupby("_cbucket")
-        .map_groups(rollup, batch_format="pandas")
+    return cogroup(
+        {"group": (resolved, "cluster_url")},
+        lambda group: rollup(group.to_pandas()),
+        pa.schema(
+            [("cluster_url", s64), ("n_pages", pa.int64()), ("n_redirected", pa.int64())]
+        ),
+        n_buckets=n_buckets,
+        coalesce=True,
     )
 
 
@@ -722,23 +696,10 @@ def host_mirror_pairs(
     """
     import pandas as pd
 
-    from pdf_extractor_ray.functions.common import (
-        bucket_ids,
-        coalesce_for_exchange,
-    )
-
     ds = ds.materialize()  # consumed twice: pairing + host sizes
 
     def tag(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "host": batch[host_col],
-                "content": batch[content_col],
-                "_bucket": pa.array(
-                    bucket_ids(batch[content_col], n_buckets)
-                ),
-            }
-        )
+        return pa.table({"host": batch[host_col], "content": batch[content_col]})
 
     def emit_pairs(group: pd.DataFrame) -> pd.DataFrame:
         g = group.drop_duplicates(["content", "host"])
@@ -753,10 +714,14 @@ def host_mirror_pairs(
                     out_b.append(hosts[j])
         return pd.DataFrame({"host_a": out_a, "host_b": out_b})
 
-    pairs = (
-        coalesce_for_exchange(ds.map_batches(tag, batch_format="pyarrow"))
-        .groupby("_bucket")
-        .map_groups(emit_pairs, batch_format="pandas")
+    pairs = cogroup(
+        {"group": (ds.map_batches(tag, batch_format="pyarrow"), "content")},
+        lambda group: emit_pairs(group.to_pandas()),
+        lambda group: pa.schema(
+            [("host_a", group.field("host").type), ("host_b", group.field("host").type)]
+        ),
+        n_buckets=n_buckets,
+        coalesce=True,
     )
 
     # host sizes: distinct contents per host — host-bounded, broadcast
@@ -777,20 +742,13 @@ def host_mirror_pairs(
             .astype({"n": "int64"})
         )
 
-    sizes = (
-        coalesce_for_exchange(
-            ds.map_batches(size_partial, batch_format="pyarrow")
-            .map_batches(
-                lambda b: b.append_column(
-                    "_hbucket", pa.array(bucket_ids(b["host"], n_buckets))
-                ),
-                batch_format="pyarrow",
-            )
-        )
-        .groupby("_hbucket")
-        .map_groups(size_merge, batch_format="pandas")
-        .to_pandas()  # bounded: one row per host
-    )
+    sizes = cogroup(
+        {"group": (ds.map_batches(size_partial, batch_format="pyarrow"), "host")},
+        lambda group: size_merge(group.to_pandas()),
+        lambda group: pa.schema([group.field("host"), ("n", pa.int64())]),
+        n_buckets=n_buckets,
+        coalesce=True,
+    ).to_pandas()  # bounded: one row per host
     size_ref = ray.put(
         pd.Series(sizes["n"].to_numpy(), index=sizes["host"].to_numpy())
     )
@@ -804,9 +762,7 @@ def host_mirror_pairs(
                 batch["host_a"].to_pylist(), batch["host_b"].to_pylist()
             )
         ]
-        return batch.append_column(
-            "_pbucket", pa.array(bucket_ids(key, n_buckets))
-        )
+        return batch.append_column("_pk", pa.array(key, pa.string()))
 
     def rollup(group: pd.DataFrame) -> pd.DataFrame:
         smap = ray.get(size_ref)
@@ -828,12 +784,16 @@ def host_mirror_pairs(
             }
         )
 
-    return (
-        coalesce_for_exchange(
-            pairs.map_batches(tag_pair, batch_format="pyarrow")
-        )
-        .groupby("_pbucket")
-        .map_groups(rollup, batch_format="pandas")
+    i64 = pa.int64()
+    return cogroup(
+        {"group": (pairs.map_batches(tag_pair, batch_format="pyarrow"), "_pk")},
+        lambda group: rollup(group.to_pandas()),
+        lambda group: pa.schema(
+            [group.field("host_a"), group.field("host_b"), ("n_shared", i64),
+             ("n_a", i64), ("n_b", i64), ("containment_pm", i64)]
+        ),
+        n_buckets=n_buckets,
+        coalesce=True,
     )
 
 
@@ -856,11 +816,6 @@ def reciprocal_link_stats(
     second coarse exchange."""
     import pandas as pd
 
-    from pdf_extractor_ray.functions.common import (
-        bucket_ids,
-        coalesce_for_exchange,
-    )
-
     def tag(batch: pa.Table) -> pa.Table:
         src = batch[src_col].to_pylist()
         dst = batch[dst_col].to_pylist()
@@ -875,7 +830,7 @@ def reciprocal_link_stats(
             {
                 "src": pa.array(src, pa.string()),
                 "dst": pa.array(dst, pa.string()),
-                "_bucket": pa.array(bucket_ids(pair, n_buckets)),
+                "_pk": pa.array(pair, pa.string()),
             }
         )
 
@@ -891,18 +846,19 @@ def reciprocal_link_stats(
             n_out=("r", "size"), n_recip=("r", "sum")
         )
 
-    partials = (
-        coalesce_for_exchange(
-            edges.map_batches(tag, batch_format="pyarrow", batch_size=None)
-        )
-        .groupby("_bucket")
-        .map_groups(detect, batch_format="pandas")
+    i64 = pa.int64()
+    partials = cogroup(
+        {
+            "group": (
+                edges.map_batches(tag, batch_format="pyarrow", batch_size=None),
+                "_pk",
+            )
+        },
+        lambda group: detect(group.to_pandas()),
+        pa.schema([("host", pa.string()), ("n_out", i64), ("n_recip", i64)]),
+        n_buckets=n_buckets,
+        coalesce=True,
     )
-
-    def tag_host(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_hbucket", pa.array(bucket_ids(batch["host"], n_buckets))
-        )
 
     def rollup(group: pd.DataFrame) -> pd.DataFrame:
         g = group.groupby("host", as_index=False)[["n_out", "n_recip"]].sum()
@@ -917,10 +873,10 @@ def reciprocal_link_stats(
             }
         )
 
-    return (
-        coalesce_for_exchange(
-            partials.map_batches(tag_host, batch_format="pyarrow")
-        )
-        .groupby("_hbucket")
-        .map_groups(rollup, batch_format="pandas")
+    return cogroup(
+        {"group": (partials, "host")},
+        lambda group: rollup(group.to_pandas()),
+        pa.schema([("host", pa.string()), ("n_out", i64), ("n_recip", i64), ("recip_pm", i64)]),
+        n_buckets=n_buckets,
+        coalesce=True,
     )

@@ -38,7 +38,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from .common import coalesce_for_exchange
+from .exchange import cogroup
 
 __all__ = [
     "add_host",
@@ -65,11 +65,8 @@ def _host_array(urls: pa.ChunkedArray | pa.Array) -> pa.Array:
     return pc.struct_field(ex, ["host"])
 
 
-def _host_bucket(hosts) -> np.ndarray:
-    """Deterministic coarse bucket for host strings (pandas' stable
-    siphash kernel — C speed, process-independent)."""
-    arr = np.asarray(hosts, dtype=object)
-    return (pd.util.hash_array(arr, categorize=False) % 512).astype(np.int64)
+# coarse bucket count of the host- and template-keyed exchanges
+_HOST_BUCKETS = 512
 
 
 def add_host(ds: ray.data.Dataset, url_col: str = "url") -> ray.data.Dataset:
@@ -93,19 +90,18 @@ def domain_counts(
             {
                 "host": pa.array(vc.index.astype(str)),
                 "n": pa.array(vc.to_numpy().astype(np.int64)),
-                "_bucket": pa.array(_host_bucket(vc.index.to_numpy())),
             }
         )
 
     def merge(group: pd.DataFrame) -> pd.DataFrame:
         return group.groupby("host", as_index=False)["n"].sum()
 
-    return (
-        coalesce_for_exchange(
-            ds.map_batches(partial, batch_format="pyarrow")
-        )
-        .groupby("_bucket")
-        .map_groups(merge, batch_format="pandas")
+    return cogroup(
+        {"group": (ds.map_batches(partial, batch_format="pyarrow"), "host")},
+        lambda group: merge(group.to_pandas()),
+        pa.schema([("host", pa.string()), ("n", pa.int64())]),
+        n_buckets=_HOST_BUCKETS,
+        coalesce=True,
     )
 
 
@@ -144,12 +140,7 @@ def cap_per_domain(
             .groupby("host", sort=False)
             .head(k)
         )
-        kept["_bucket"] = _host_bucket(kept["host"].to_numpy())
-        # drop the pandas schema metadata (dict) so Ray's shuffle can
-        # hash-dedupe block schemas
-        return pa.Table.from_pandas(
-            kept, preserve_index=False
-        ).replace_schema_metadata(None)
+        return pa.Table.from_pandas(kept, preserve_index=False)
 
     def global_prune(group: pd.DataFrame) -> pd.DataFrame:
         kept = (
@@ -159,12 +150,14 @@ def cap_per_domain(
         )
         return kept[["doc_id", "host"] + keep_cols]
 
-    return (
-        coalesce_for_exchange(
-            ds.map_batches(local_prune, batch_format="pyarrow")
-        )
-        .groupby("_bucket")
-        .map_groups(global_prune, batch_format="pandas")
+    return cogroup(
+        {"group": (ds.map_batches(local_prune, batch_format="pyarrow"), "host")},
+        lambda group: global_prune(group.to_pandas()),
+        lambda group: pa.schema(
+            [group.field(c) for c in ["doc_id", "host"] + keep_cols]
+        ),
+        n_buckets=_HOST_BUCKETS,
+        coalesce=True,
     )
 
 
@@ -255,7 +248,6 @@ def url_templates(
             {
                 "template": pa.array(tpls.astype(str)),
                 "n": pa.array(vc.to_numpy().astype(np.int64)),
-                "_bucket": pa.array(_host_bucket(tpls)),
             }
         )
 
@@ -265,10 +257,12 @@ def url_templates(
             ["n", "template"], ascending=[False, True]
         ).head(k)
 
-    agg = (
-        coalesce_for_exchange(ds.map_batches(partial, batch_format="pyarrow"))
-        .groupby("_bucket")
-        .map_groups(bucket_topk, batch_format="pandas")
+    agg = cogroup(
+        {"group": (ds.map_batches(partial, batch_format="pyarrow"), "template")},
+        lambda group: bucket_topk(group.to_pandas()),
+        pa.schema([("template", pa.string()), ("n", pa.int64())]),
+        n_buckets=_HOST_BUCKETS,
+        coalesce=True,
     )
     return agg.sort(["n", "template"], descending=[True, False]).limit(k)
 
@@ -321,10 +315,7 @@ def frontier_schedule(
         )
         if max_per_host is not None:
             df = df.groupby("host", sort=False).head(max_per_host)
-        df["_bucket"] = _host_bucket(df["host"].to_numpy())
-        return pa.Table.from_pandas(
-            df, preserve_index=False
-        ).replace_schema_metadata(None)
+        return pa.Table.from_pandas(df, preserve_index=False)
 
     def schedule(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(
@@ -339,10 +330,15 @@ def frontier_schedule(
             g = g[g["slot"] < max_per_host]
         return g[["url", "host", "priority", "slot", "fetch_ts"]]
 
-    return (
-        coalesce_for_exchange(ds.map_batches(local, batch_format="pyarrow"))
-        .groupby("_bucket")
-        .map_groups(schedule, batch_format="pandas")
+    return cogroup(
+        {"group": (ds.map_batches(local, batch_format="pyarrow"), "host")},
+        lambda group: schedule(group.to_pandas()),
+        lambda group: pa.schema(
+            [("url", pa.string()), ("host", pa.string()), group.field("priority"),
+             ("slot", pa.int64()), ("fetch_ts", pa.int64())]
+        ),
+        n_buckets=_HOST_BUCKETS,
+        coalesce=True,
     )
 
 
@@ -404,13 +400,6 @@ def sitemap_discover(
     listed = sitemaps.map_batches(locs, batch_format="pyarrow")
     seen = crawled.map_batches(crawled_rows, batch_format="pyarrow")
 
-    def tag(batch: pa.Table) -> pa.Table:
-        from .common import bucket_ids
-
-        return batch.append_column(
-            "bucket", pa.array(bucket_ids(batch["url"], 512), pa.int64())
-        )
-
     def resolve(group: pd.DataFrame) -> pd.DataFrame:
         out = (
             group.groupby("url", as_index=False)
@@ -419,10 +408,13 @@ def sitemap_discover(
         out = out[(out["crawled"] == 0) & (out["n_listings"] > 0)]
         return out[["url", "n_listings"]]
 
-    both = coalesce_for_exchange(
-        listed.union(seen).map_batches(tag, batch_format="pyarrow")
+    return cogroup(
+        {"group": (listed.union(seen), "url")},
+        lambda group: resolve(group.to_pandas()),
+        pa.schema([("url", pa.string()), ("n_listings", pa.int64())]),
+        n_buckets=512,
+        coalesce=True,
     )
-    return both.groupby("bucket").map_groups(resolve, batch_format="pandas")
 
 
 def url_features(
@@ -561,44 +553,31 @@ def filter_declared_sitemaps(
     100 TB; bodies cross exactly one exchange."""
     import pandas as pd
 
-    from .common import bucket_ids
+    def keep(sm: pa.Table, dec: pa.Table) -> pa.Table:
+        ok = pa.array(sorted(set(dec["url"].to_pylist())), pa.string())
+        return sm.filter(pc.is_in(sm["url"], value_set=ok))
 
-    def tag_sitemaps(batch: pa.Table) -> pa.Table:
-        out = pa.table(
-            {
-                "url": batch[url_col],
-                "xml": batch["xml"],
-                "declared": pa.array([0] * len(batch), pa.int64()),
-            }
-        )
-        return out.append_column(
-            "bucket", pa.array(bucket_ids(out["url"], n_buckets), pa.int64())
-        )
-
-    def tag_declared(batch: pa.Table) -> pa.Table:
-        urls = pc.drop_null(batch[declared_col])
-        out = pa.table(
-            {
-                "url": urls,
-                "xml": pa.array([None] * len(urls), pa.binary()),
-                "declared": pa.array([1] * len(urls), pa.int64()),
-            }
-        )
-        return out.append_column(
-            "bucket", pa.array(bucket_ids(out["url"], n_buckets), pa.int64())
-        )
-
-    def keep(group: pd.DataFrame) -> pd.DataFrame:
-        ok = set(group.loc[group["declared"] == 1, "url"])
-        body = group[(group["declared"] == 0) & group["url"].isin(ok)]
-        return body[["url", "xml"]]
-
-    both = coalesce_for_exchange(
-        sitemaps.map_batches(tag_sitemaps, batch_format="pyarrow").union(
-            declared.map_batches(tag_declared, batch_format="pyarrow")
-        )
+    return cogroup(
+        {
+            "sm": (
+                sitemaps.select_columns([url_col, "xml"]).rename_columns(["url", "xml"]),
+                "url",
+                pa.schema([("url", pa.string()), ("xml", pa.binary())]),
+            ),
+            "dec": (
+                declared.map_batches(
+                    lambda b: pa.table({"url": pc.drop_null(b[declared_col])}),
+                    batch_format="pyarrow",
+                ),
+                "url",
+                pa.schema([("url", pa.string())]),
+            ),
+        },
+        keep,
+        pa.schema([("url", pa.string()), ("xml", pa.binary())]),
+        n_buckets=n_buckets,
+        coalesce=True,
     )
-    return both.groupby("bucket").map_groups(keep, batch_format="pandas")
 
 
 def host_fetch_plan(
@@ -625,10 +604,6 @@ def host_fetch_plan(
     ONE host-bucket cogroup joins them, vectorized inside the group."""
     import pandas as pd
 
-    from pdf_extractor_ray.functions.common import (
-        bucket_ids,
-        coalesce_for_exchange,
-    )
     from pdf_extractor_ray.kernel.robots import crawl_delay_for
 
     def tag_robots(batch: pa.Table) -> pa.Table:
@@ -645,8 +620,6 @@ def host_fetch_plan(
             {
                 "host": pa.array(hosts, pa.string()),
                 "val": pa.array(delays, pa.int64()),
-                "side": pa.array(np.zeros(len(hosts), dtype=np.int8)),
-                "_bucket": pa.array(bucket_ids(hosts, n_buckets)),
             }
         )
 
@@ -658,14 +631,12 @@ def host_fetch_plan(
             {
                 "host": pa.array(hosts, pa.string()),
                 "val": pa.array(g["size"].to_numpy(np.int64)),
-                "side": pa.array(np.ones(len(hosts), dtype=np.int8)),
-                "_bucket": pa.array(bucket_ids(hosts, n_buckets)),
             }
         )
 
-    def plan(group: pd.DataFrame) -> pd.DataFrame:
-        rb = group[group["side"] == 0]
-        fr = group[group["side"] == 1]
+    def plan(rb: pa.Table, fr: pa.Table) -> pd.DataFrame:
+        rb = rb.to_pandas()
+        fr = fr.to_pandas()
         pend = fr.groupby("host")["val"].sum()
         delays = rb.groupby("host")["val"].first()
         hosts = sorted(set(pend.index) | set(delays.index))
@@ -684,12 +655,18 @@ def host_fetch_plan(
             }
         )
 
-    return (
-        coalesce_for_exchange(
-            robots.map_batches(tag_robots, batch_format="pyarrow").union(
-                frontier.map_batches(tag_frontier, batch_format="pyarrow")
-            )
-        )
-        .groupby("_bucket")
-        .map_groups(plan, batch_format="pandas")
+    i64 = pa.int64()
+    host_val = pa.schema([("host", pa.string()), ("val", i64)])
+    return cogroup(
+        {
+            "rb": (robots.map_batches(tag_robots, batch_format="pyarrow"), "host", host_val),
+            "fr": (frontier.map_batches(tag_frontier, batch_format="pyarrow"), "host", host_val),
+        },
+        plan,
+        pa.schema(
+            [("host", pa.string()), ("delay_s", i64), ("budget", i64),
+             ("pending", i64), ("planned", i64)]
+        ),
+        n_buckets=n_buckets,
+        coalesce=True,
     )

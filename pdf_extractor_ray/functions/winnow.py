@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-import zlib
 
 import numpy as np
 import pandas as pd
@@ -41,7 +40,7 @@ import pyarrow as pa
 
 import ray.data
 
-from .common import coalesce_for_exchange
+from .exchange import cogroup
 
 _WORD_RE = re.compile(r"\S+")
 
@@ -126,15 +125,10 @@ def winnow_fingerprints(
     def tag_h(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
         df = df[df["pos"] >= 0][[id_col, "h"]].drop_duplicates()
-        b = np.array(
-            [zlib.crc32(x.encode()) % n_buckets for x in df["h"]],
-            dtype=np.int64,
-        )
         return pa.table(
             {
                 id_col: pa.array(df[id_col].to_numpy(), pa.int64()),
                 "h": pa.array(df["h"].to_numpy(), pa.string()),
-                "_hb": pa.array(b, pa.int64()),
             }
         )
 
@@ -154,17 +148,19 @@ def winnow_fingerprints(
             }
         )
 
-    shared = (
-        coalesce_for_exchange(fp.map_batches(tag_h, batch_format="pyarrow"))
-        .groupby("_hb")
-        .map_groups(shared_in_bucket, batch_format="pandas")
+    i64 = pa.int64()
+    fp_schema = pa.schema(
+        [(id_col, i64), ("ng", i64), ("pos", i64), ("h", pa.string()), ("nsb", i64)]
+    )
+    shared = cogroup(
+        {"g": (fp.map_batches(tag_h, batch_format="pyarrow"), "h")},
+        lambda g: shared_in_bucket(g.to_pandas()),
+        fp_schema,
+        n_buckets=n_buckets,
+        coalesce=True,
     )
 
     # ---- exchange 2: doc buckets -> final per-doc fold
-    def tag_doc(batch: pa.Table) -> pa.Table:
-        b = np.asarray(batch[id_col]) % n_buckets
-        return batch.append_column("_db", pa.array(b, pa.int64()))
-
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         own = g[g["pos"] >= -1]
         fps = own[own["pos"] >= 0].sort_values([id_col, "pos"])
@@ -191,7 +187,13 @@ def winnow_fingerprints(
             }
         )
 
-    both = coalesce_for_exchange(
-        fp.union(shared).map_batches(tag_doc, batch_format="pyarrow")
+    return cogroup(
+        {"g": (fp.union(shared), id_col, fp_schema)},
+        lambda g: fold(g.to_pandas()),
+        pa.schema(
+            [(id_col, i64), ("n_grams", i64), ("n_fp", i64), ("n_shared", i64),
+             ("fp_digest", pa.string())]
+        ),
+        n_buckets=n_buckets,
+        coalesce=True,
     )
-    return both.groupby("_db").map_groups(fold, batch_format="pandas")

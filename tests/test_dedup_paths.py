@@ -847,3 +847,30 @@ class TestAutoVerifySelect:
         assert broadcast_collects > 0
         pd.testing.assert_frame_equal(lo, want)
         pd.testing.assert_frame_equal(default, want)
+
+
+def test_band_shard_ignores_a_replayed_push():
+    """A retried push task adds the same band rows twice; the shard must
+    emit exactly the pairs of one push (no doc_a == doc_b self-pairs,
+    no duplicate crowding distinct ids out of the max_bucket window)."""
+    from pdf_extractor_ray.functions.dedup import _BandShard as actor_class
+
+    # the class itself, run in-process: no actor, no cluster
+    _BandShard = actor_class.__ray_metadata__.modified_class
+    cols = {
+        "band": np.array([0, 0, 0, 1, 1], np.int32),
+        "band_hash": np.array([5, 5, 5, 9, 9], np.int64),
+        "doc_id": np.array([3, 1, 2, 1, 4], np.int64),
+    }
+
+    def pairs(n_pushes: int, max_bucket: int = 200):
+        shard = _BandShard(0, 1, max_bucket)
+        for _ in range(n_pushes):
+            shard.add(**{k: v.copy() for k, v in cols.items()})
+        t = shard.emit_pairs()
+        return list(zip(t["doc_a"].to_pylist(), t["doc_b"].to_pylist()))
+
+    once = pairs(1)
+    assert once == [(1, 2), (1, 3), (1, 4), (2, 3)]
+    assert pairs(2) == once
+    assert pairs(2, max_bucket=2) == pairs(1, max_bucket=2) == [(1, 2), (1, 4)]

@@ -134,3 +134,22 @@ class TestExactDupSpans:
         ]
         out = exact_dup_spans(_mk(ray_session, rows, 1), min_len=50).to_pandas()
         assert len(out) == 0
+
+
+def test_every_output_block_is_typed(ray_session):
+    """Most doc buckets hold no duplicated positions (one duplicated
+    pair among many unique docs): every output block of both exchanges
+    still carries the one output schema, never a column-less empty."""
+    import ray
+
+    rng = np.random.default_rng(7)
+    vocab = [f"w{i}" for i in range(5000)]
+    rows = [(i, " ".join(rng.choice(vocab, 60))) for i in range(40)]
+    rows.append((40, rows[3][1]))
+    out = exact_dup_spans(_mk(ray_session, rows, parts=4), min_len=20)
+    blocks = ray.get(out.to_arrow_refs())
+    schemas = {b.schema for b in blocks}
+    assert len(schemas) == 1, schemas
+    assert schemas.pop().names == ["doc_id", "span_start", "span_len"]
+    got = pd.concat([b.to_pandas() for b in blocks])
+    assert sorted(set(got["doc_id"])) == [3, 40]

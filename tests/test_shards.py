@@ -345,3 +345,41 @@ def test_spawn_and_kill_live_only_in_shards_module():
                     f"{path.relative_to(FUNCTIONS.parent)}:{node.lineno}"
                 )
     assert offenders == []
+
+
+def test_bucket_exchanges_live_only_in_exchange_module():
+    """Only functions/exchange.py may run a Ray groupby(...).map_groups
+    on a bucket column it builds itself, or tag rows with a side column:
+    every operator's cogroup goes through exchange.cogroup. Groupbys on
+    real data columns (and aggregates on any key) are not flagged."""
+    exchange_py = FUNCTIONS / "exchange.py"
+    paths = sorted(FUNCTIONS.parent.rglob("*.py")) + [
+        FUNCTIONS.parents[1] / "__ray_entry__.py"
+    ]
+    offenders = []
+    for path in paths:
+        if path == exchange_py:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Constant) and node.value in ("_side", "side"):
+                offenders.append(f"{where} side tag")
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "map_groups"
+            ):
+                continue
+            grouped = node.func.value
+            if (
+                isinstance(grouped, ast.Call)
+                and isinstance(grouped.func, ast.Attribute)
+                and grouped.func.attr == "groupby"
+                and grouped.args
+                and isinstance(grouped.args[0], ast.Constant)
+                and isinstance(grouped.args[0].value, str)
+            ):
+                key = grouped.args[0].value
+                if "bucket" in key or key.startswith("_"):
+                    offenders.append(f"{where} groupby({key!r})")
+    assert offenders == []
