@@ -4294,12 +4294,12 @@ def _q_csv_extract(sf_dir: str):
 
 
 def _q_range_band(sf_dir: str):
-    """Range join (functions/relational.py::range_join_broadcast):
+    """Range join (functions/relational.py::range_join):
     events banded by value into 40 disjoint [i*25, i*25+18) intervals
     (gaps drop rows — inner semantics), broadcast side probed with one
     searchsorted per batch. Oracle joins the same VALUES list with a
     BETWEEN predicate and aggregates per band."""
-    from pdf_extractor_ray.functions.relational import range_join_broadcast
+    from pdf_extractor_ray.functions.relational import range_join
 
     events = _rp(
         _t(sf_dir, "events"), columns=["event_id", "value"]
@@ -4311,59 +4311,7 @@ def _q_range_band(sf_dir: str):
             "range_key": [f"band-{i:02d}" for i in range(40)],
         }
     )
-    joined = range_join_broadcast(events, ranges, value_col="value")
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = pa.table(
-            {
-                "range_key": batch["range_key"],
-                "value_c": pc.cast(
-                    pc.floor(
-                        pc.add(pc.multiply(batch["value"], 100.0), 0.5)
-                    ),
-                    pa.int64(),
-                ),
-            }
-        ).to_pandas()
-        g = df.groupby("range_key", as_index=False).agg(
-            n_events=("value_c", "size"), sum_value_c=("value_c", "sum")
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    return (
-        coalesce_for_exchange(
-            joined.map_batches(partial, batch_format="pyarrow")
-        )
-        .groupby("range_key")
-        .aggregate(Sum("n_events"), Sum("sum_value_c"))
-        .rename_columns(
-            {
-                "sum(n_events)": "n_events",
-                "sum(sum_value_c)": "sum_value_c",
-            }
-        )
-    )
-
-
-def _q_range_band_partitioned(sf_dir: str):
-    """Same banding as range_band through the big-range-side path
-    (range_join_partitioned: bin-aligned cogroup, no broadcast) —
-    identical oracle, so the driver checks the two paths agree."""
-    from pdf_extractor_ray.functions.relational import range_join_partitioned
-
-    events = _rp(
-        _t(sf_dir, "events"), columns=["event_id", "value"]
-    )
-    ranges = pd.DataFrame(
-        {
-            "lo": [i * 25 for i in range(40)],
-            "hi": [i * 25 + 18 for i in range(40)],
-            "range_key": [f"band-{i:02d}" for i in range(40)],
-        }
-    )
-    joined = range_join_partitioned(
-        events, ranges, value_col="value", bin_width=100.0, n_buckets=32
-    )
+    joined = range_join(events, ranges, value_col="value")
 
     def partial(batch: pa.Table) -> pa.Table:
         df = pa.table(
@@ -4412,7 +4360,7 @@ def _q_robots_gate(sf_dir: str):
     docs = ray.data.read_parquet(_t(sf_dir, "documents"), columns=["doc_id"])
 
     def to_urls(batch: pa.Table) -> pa.Table:
-        urls = []
+        urls, hosts = [], []
         for d in batch["doc_id"].to_pylist():
             host = f"h{(d // 6) % 20}.example.org"
             k = d % 6
@@ -4425,7 +4373,13 @@ def _q_robots_gate(sf_dir: str):
                 f"/cgi-bin/q?x={d}",
             )[k]
             urls.append(f"https://{host}{path}")
-        return pa.table({"url": pa.array(urls, pa.string())})
+            hosts.append(host)
+        return pa.table(
+            {
+                "url": pa.array(urls, pa.string()),
+                "host": pa.array(hosts, pa.string()),
+            }
+        )
 
     urls = docs.map_batches(to_urls, batch_format="pyarrow")
 
@@ -4465,12 +4419,12 @@ def _q_crawl_admission(sf_dir: str):
     every stage a prior oracle-green operator: deterministic pages
     (host h{(d//6)%20}, path kind d%4, head carrying a noindex meta on
     every 7th doc and canonical https://canon.example.org/{d%250}) ->
-    page_head_meta (real HTML parse) -> robots_gate_broadcast (real
-    robots.txt parse, broadcast rules) -> keep noindex==0 AND
+    page_head_meta (real HTML parse) -> robots_gate (real robots.txt
+    parse; the 20-host store broadcasts) -> keep noindex==0 AND
     allowed==1 -> coarse canonical-bucket rollup to
     (canonical, n_admitted, min_doc). The oracle replays the whole
     admission rule in closed form."""
-    from pdf_extractor_ray.functions.webclean import robots_gate_broadcast
+    from pdf_extractor_ray.functions.webclean import robots_gate
     from pdf_extractor_ray.functions.webgraph import page_head_meta
 
     docs = ray.data.read_parquet(_t(sf_dir, "documents"), columns=["doc_id"])
@@ -4532,7 +4486,9 @@ def _q_crawl_admission(sf_dir: str):
             ),
         }
     )
-    gated = robots_gate_broadcast(meta, robots_table, agent="graftbot")
+    gated = robots_gate(
+        meta, ray.data.from_arrow(robots_table), agent="graftbot"
+    )
 
     def admit(batch: pa.Table) -> pa.Table:
         keep = pc.and_(
@@ -5079,27 +5035,7 @@ def _q_sessionize_events(sf_dir: str):
 
 
 def _q_asof_orders(sf_dir: str):
-    import pyarrow.parquet as pq
-
     from pdf_extractor_ray.functions.relational import latest_order_asof
-
-    events = _rp(
-        _t(sf_dir, "events"), columns=["event_type", "user_id", "ts"]
-    )
-    orders = pq.read_table(
-        _t(sf_dir, "orders"), columns=["o_custkey", "o_orderdate", "o_totalprice"]
-    ).to_pandas()
-    return latest_order_asof(events, orders)
-
-
-def _q_asof_orders_partitioned(sf_dir: str):
-    """Big-right-side as-of join: both sides hash-partitioned on a
-    coarse customer bucket, per-bucket vectorized merge_asof — the
-    scale path when the order side cannot broadcast. Same oracle as
-    the broadcast variant (results must be identical)."""
-    from pdf_extractor_ray.functions.relational import (
-        latest_order_asof_partitioned,
-    )
 
     events = _rp(
         _t(sf_dir, "events"), columns=["event_type", "user_id", "ts"]
@@ -5107,7 +5043,7 @@ def _q_asof_orders_partitioned(sf_dir: str):
     orders = _rp(
         _t(sf_dir, "orders"), columns=["o_custkey", "o_orderdate", "o_totalprice"]
     )
-    return latest_order_asof_partitioned(events, orders)
+    return latest_order_asof(events, orders)
 
 
 def _emb_with_dups(sf_dir: str) -> ray.data.Dataset:
@@ -8170,7 +8106,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "crawl_admission": _q_crawl_admission,
         "crawl_curate": _q_crawl_curate,
         "range_band": _q_range_band,
-        "range_band_partitioned": _q_range_band_partitioned,
+        "range_band_partitioned": _q_range_band,
         "normalize_text": _q_normalize_text,
         "word_topk": _q_word_topk,
         "word_heavy_hitters": _q_word_heavy_hitters,
@@ -8179,7 +8115,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "sessionize": _q_sessionize,
         "sessionize_events": _q_sessionize_events,
         "asof_orders": _q_asof_orders,
-        "asof_orders_partitioned": _q_asof_orders_partitioned,
+        "asof_orders_partitioned": _q_asof_orders,
         "element_types": _q_element_types,
         "embedding_clusters": _q_embedding_clusters,
         "kmeans_lloyd": _q_kmeans_lloyd,

@@ -14,7 +14,7 @@ All shuffles here move NARROW data (hashes + ids), never full documents:
     Hamming-distance verification
 
 Verification picks its path from the counted candidate pair table.
-At most ``auto_broadcast_max`` pairs take the broadcast path
+At most ``AUTO_BROADCAST_MAX`` pairs take the broadcast path
 (candidate texts broadcast via ``ray.put``; its driver state scales
 with the near-dup fraction, not the corpus). More take the bucket
 path, a hash-partitioned pair join that never touches the driver:
@@ -74,6 +74,10 @@ __all__ = [
 ]
 
 _WORD_RE = re.compile(r"\S+")
+
+# candidate-pair count up to which verification broadcasts the
+# candidate texts instead of running the bucket path (read per call)
+AUTO_BROADCAST_MAX = 50_000
 
 # 64 fixed random-ish odd multipliers/offsets for the minhash
 # permutations (seeded once at import; deterministic).
@@ -590,8 +594,6 @@ def strip_dup_spans(
     text_col: str = "text",
     id_col: str = "doc_id",
     n_buckets: int | None = None,
-    prefilter: str = "none",
-    bloom_bits: int = 1 << 27,
     min_span_words: int = 0,
 ) -> ray.data.Dataset:
     """The REMOVAL step of Lee et al. 2022 exact substring dedup: cut
@@ -617,116 +619,19 @@ def strip_dup_spans(
     each doc's cut happens once, in its bucket, with numpy
     interval-union masking. Driver holds nothing corpus-proportional;
     no per-ngram groups; md5-free (vectorized hash_array n-grams).
-
-    ``prefilter="bloom"`` runs a counting pass first — per-batch
-    unique-hash partials, the dup_ngram_span_stats exchange shape —
-    and folds the duplicated hashes into ONE bounded Bloom bitmap
-    (``bloom_bits``, 16 MiB default; buckets emit SPARSE set-bit
-    positions, so the collection stream is proportional to the dup
-    count, not buckets x bitmap). Exchange 1 then ships only
-    Bloom-HIT positions. Exactness is unaffected either way — no
-    false negatives, and false-positive positions arrive in their
-    hash bucket with total count 1 and are dropped by the same exact
-    test. Measured guidance (BASELINE.md): the default is "none"
-    because at short-doc corpora (20-word docs, 1M rows) the extra
-    tokenizing pass costs more than the position exchange it saves;
-    switch to "bloom" when documents are long (positions/doc high)
-    and duplication is sparse, which is when the position stream —
-    not tokenization — is the wall.
     """
     if n_buckets is None:
         n_buckets = 8 * exchange_width()
     doc_buckets = 2 * exchange_width()
 
-    # multiple consumers below (position pass + text tag, and the
-    # bloom count pass when enabled); a lazy input would re-run its
-    # whole upstream lineage per consumer, and a nondeterministic
-    # upstream would make the position pass and the text pass disagree
-    # — materialize once unconditionally (same contract as
-    # sequence_pack)
+    # two consumers below (position pass + text tag); a lazy input
+    # would re-run its whole upstream lineage per consumer, and a
+    # nondeterministic upstream would make the position pass and the
+    # text pass disagree — materialize once unconditionally (same
+    # contract as sequence_pack)
     ds = ds.materialize()
 
-    bloom_ref = None
-    if prefilter == "bloom":
-        m_bits = int(bloom_bits)
-        m_bytes = (m_bits + 7) // 8
-
-        def _positions(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            u = h.astype(np.uint64)
-            p1 = (u * np.uint64(0x9E3779B97F4A7C15)) % np.uint64(m_bits)
-            p2 = (
-                u * np.uint64(0xBF58476D1CE4E5B9)
-                + np.uint64(0x94D049BB133111EB)
-            ) % np.uint64(m_bits)
-            return p1, p2
-
-        def count_partial(batch: pa.Table) -> pa.Table:
-            per_doc = _batch_ngram_hashes(batch[text_col].to_pylist(), n)
-            hs_list = [h for h in per_doc if len(h)]
-            if not hs_list:
-                return pa.table(
-                    {
-                        "h": pa.array([], pa.int64()),
-                        "cnt": pa.array([], pa.int64()),
-                    }
-                )
-            hs = np.concatenate(hs_list).view(np.int64) & np.int64(
-                0x7FFFFFFFFFFFFFFF
-            )
-            uh, c = np.unique(hs, return_counts=True)
-            return pa.table(
-                {
-                    "h": pa.array(uh),
-                    "cnt": pa.array(c.astype(np.int64)),
-                }
-            )
-
-        def bucket_dup_bits(group):
-            """Sparse: emit the SET-BIT POSITIONS of this bucket's dup
-            hashes (2 int64 rows per dup hash) — collection volume is
-            proportional to the dup count, never buckets x bitmap."""
-            h = group["h"].to_numpy()
-            uh, hinv = np.unique(h, return_inverse=True)
-            tot = np.bincount(hinv, weights=group["cnt"].to_numpy())
-            dup = uh[tot > 1]
-            import pandas as pd
-
-            if not len(dup):
-                return None
-            p1, p2 = _positions(dup)
-            return pd.DataFrame(
-                {"bit": np.concatenate([p1, p2]).astype(np.int64)}
-            )
-
-        bits = cogroup(
-            {"group": (ds.map_batches(count_partial, batch_format="pyarrow"), "h")},
-            lambda group: bucket_dup_bits(group.to_pandas()),
-            pa.schema([("bit", pa.int64())]),
-            n_buckets=n_buckets,
-            coalesce=True,
-        )
-        bloom = np.zeros(m_bytes, dtype=np.uint8)
-        for part in bits.iter_batches(batch_size=65536, batch_format="pyarrow"):
-            pos = part["bit"].to_numpy(zero_copy_only=False).astype(np.uint64)
-            np.bitwise_or.at(
-                bloom,
-                (pos >> np.uint64(3)).astype(np.int64),
-                (np.uint8(1) << (pos & np.uint64(7))).astype(np.uint8),
-            )
-        bloom_ref = ray.put(bloom)
-
-        def _bloom_hit(h: np.ndarray, bl: np.ndarray) -> np.ndarray:
-            hit = np.ones(len(h), dtype=bool)
-            for pos in _positions(h):
-                byte = (pos >> np.uint64(3)).astype(np.int64)
-                bit = (np.uint8(1) << (pos & np.uint64(7))).astype(np.uint8)
-                hit &= (bl[byte] & bit) != 0
-            return hit
-    elif prefilter != "none":
-        raise ValueError(f"unknown prefilter: {prefilter!r}")
-
     def emit_positions(batch: pa.Table) -> pa.Table:
-        bl = ray.get(bloom_ref) if bloom_ref is not None else None
         ids_out: list[np.ndarray] = []
         hs_out: list[np.ndarray] = []
         pos_out: list[np.ndarray] = []
@@ -735,15 +640,9 @@ def strip_dup_spans(
             if len(hs64) == 0:
                 continue
             hs = hs64.view(np.int64) & np.int64(0x7FFFFFFFFFFFFFFF)
-            pos = np.arange(len(hs), dtype=np.int64)
-            if bl is not None:
-                hit = _bloom_hit(hs, bl)
-                if not hit.any():
-                    continue
-                hs, pos = hs[hit], pos[hit]
             ids_out.append(np.full(len(hs), i, dtype=np.int64))
             hs_out.append(hs)
-            pos_out.append(pos)
+            pos_out.append(np.arange(len(hs), dtype=np.int64))
         if not ids_out:
             return pa.table(
                 {
@@ -1193,7 +1092,6 @@ def minhash_dedup_pairs(
     threshold: float = 0.8,
     shingle_k: int = 3,
     n_buckets: int = 256,
-    auto_broadcast_max: int = 50_000,
 ) -> ray.data.Dataset:
     """LSH candidates verified by exact n-gram Jaccard >= threshold.
 
@@ -1201,7 +1099,7 @@ def minhash_dedup_pairs(
     is materialized (narrow: 2 int64/row; both paths consume it
     materialized anyway) and counted from its metadata.
 
-    - At most ``auto_broadcast_max`` pairs: the broadcast path. The
+    - At most ``AUTO_BROADCAST_MAX`` pairs: the broadcast path. The
       (provably small) pair table is collected driver-side, the
       distinct candidate ids select texts via a broadcast-filter pass,
       and verify tasks read the candidate-sized broadcast — cheaper
@@ -1222,7 +1120,7 @@ def minhash_dedup_pairs(
     cand = minhash_candidates(ds, text_col, id_col, shingle_k=shingle_k)
     return _verify_candidates(
         cand, ds, text_col, id_col, threshold, shingle_k,
-        n_buckets, auto_broadcast_max,
+        n_buckets,
     )
 
 
@@ -1234,7 +1132,6 @@ def _verify_candidates(
     threshold: float,
     shingle_k: int,
     n_buckets: int,
-    auto_broadcast_max: int,
 ) -> ray.data.Dataset:
     """Exact n-gram-Jaccard verification of candidate (doc_a, doc_b)
     pairs against the texts in ``ds`` — the counted bucket / broadcast
@@ -1245,7 +1142,7 @@ def _verify_candidates(
     cand = cand.materialize()
     n_cand = cand.count()  # metadata only after materialize
 
-    if n_cand > auto_broadcast_max:
+    if n_cand > AUTO_BROADCAST_MAX:
         # Fully distributed verify. Driver state is ONE fixed-size
         # Bloom bitmap — never ids, pairs, or texts:
         #   0. candidate pairs materialize into the object store
@@ -1542,7 +1439,6 @@ def incremental_minhash(
     threshold: float = 0.8,
     max_bucket: int = 200,
     n_buckets: int = 256,
-    auto_broadcast_max: int = 50_000,
 ) -> ray.data.Dataset:
     """Cross-dump NEAR-dup detection: LSH-probe a new crawl dump
     against the persisted band-row ``store`` of all previous dumps
@@ -1612,7 +1508,7 @@ def incremental_minhash(
     )
     return _verify_candidates(
         cand, texts, text_col, id_col, threshold, shingle_k,
-        n_buckets, auto_broadcast_max,
+        n_buckets,
     )
 
 
@@ -2065,5 +1961,5 @@ def jaccard_join_prefix(
     )
     return _verify_candidates(
         cand, ds, text_col, id_col, t_pm / 1000.0, shingle_k,
-        n_buckets, 50_000,
+        n_buckets,
     )

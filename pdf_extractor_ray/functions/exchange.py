@@ -30,6 +30,14 @@ Exchange contract (:func:`cogroup`):
   an empty partition into a column-less block that no map UDF sees). A
   full-row stream keeps Ray's sampled, block-proportional partitioning.
   Each operator states which it is; there is no default.
+
+Route rule (:func:`fits_broadcast`): an operator that can either
+broadcast one side or exchange both materializes that side and
+broadcasts it when its in-memory size is at most
+``BROADCAST_MAX_BYTES``. The two row-count thresholds
+(``dedup.AUTO_BROADCAST_MAX``, ``ngram_lm.BROADCAST_LIMIT``) are the
+package's only other route rules; a planner that estimates cost would
+replace all three.
 """
 
 from __future__ import annotations
@@ -45,10 +53,21 @@ import ray.data
 from .common import bucket_ids
 from .shards import cluster_cpus
 
-__all__ = ["cogroup", "exchange_width"]
+__all__ = ["BROADCAST_MAX_BYTES", "cogroup", "exchange_width", "fits_broadcast"]
 
 _BUCKET = "_xb"
 _INPUT = "_xi"  # input index; -1 marks a sentinel row
+
+# largest side, in in-memory bytes, that an operator broadcasts
+# instead of exchanging
+BROADCAST_MAX_BYTES = 64 << 20
+
+
+def fits_broadcast(ds: ray.data.Dataset) -> bool:
+    """True when the materialized ``ds`` is small enough to broadcast.
+    ``size_bytes()`` of a materialized dataset sums block metadata, so
+    the check costs no pass. The bound is read at call time."""
+    return ds.size_bytes() <= BROADCAST_MAX_BYTES
 
 
 def exchange_width() -> int:

@@ -11,7 +11,7 @@ float in the pipeline and the DuckDB oracle hash-matches. Structure:
 one count exchange into sharded count actors (hapax tail dropped at
 the source — singletons score 0 exactly), then EITHER a one-pass
 local scoring against the broadcast packed head table (when the
-counted head fits ``broadcast_limit``) or the bigram-bucket cogroup
+counted head fits ``BROADCAST_LIMIT`` rows) or the bigram-bucket cogroup
 for corpora whose repeated-bigram vocabulary exceeds it.
 
 ``phrase_count`` is the positional-index phrase intersection: postings
@@ -44,6 +44,10 @@ from .shards import Shard, cluster_cpus, push, shard_actors
 __all__ = ["bigram_familiarity", "phrase_count"]
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
+
+# repeated-bigram head rows up to which bigram_familiarity scores
+# against a broadcast of the head (read per call)
+BROADCAST_LIMIT = 6_000_000
 
 
 def _words(text: str) -> list[str]:
@@ -200,7 +204,7 @@ def _bigram_score_broadcast(
     id_col: str,
 ) -> ray.data.Dataset:
     """One-pass local scoring against the broadcast head table.
-    Driver pull is bounded by the broadcast_limit row cap the caller
+    Driver pull is bounded by the BROADCAST_LIMIT row cap the caller
     enforced before selecting this path; the shipped state is ~16
     bytes per head bigram (packed int64 key + int64 lg) plus the
     head-WORD vocabulary strings (far fewer than head bigrams)."""
@@ -210,7 +214,7 @@ def _bigram_score_broadcast(
     if len(head) >= (1 << 31):
         raise ValueError(
             "head table too large for 32-bit word ids — "
-            "lower broadcast_limit below 2**31 to score by exchange"
+            "lower BROADCAST_LIMIT below 2**31 to score by exchange"
         )
     if len(head):
         parts = head["bg"].str.split(" ", n=1, expand=True)
@@ -243,7 +247,6 @@ def bigram_familiarity(
     text_col: str = "text",
     id_col: str = "doc_id",
     n_buckets: int = 128,
-    broadcast_limit: int = 6_000_000,
 ) -> ray.data.Dataset:
     """Per-document bigram familiarity: (doc_id, n_bigrams, fam_sum,
     fam_milli) where fam_sum = sum over the doc's bigram TOKENS
@@ -263,7 +266,7 @@ def bigram_familiarity(
     metadata after materialize) — the same count-then-choose contract
     as ``dedup.minhash_dedup_pairs``:
 
-    - at most ``broadcast_limit`` rows: broadcast. Ship the head table
+    - at most ``BROADCAST_LIMIT`` rows: broadcast. Ship the head table
       once via ``ray.put`` and score each doc locally in ONE pass — no
       (doc, bigram) exchange at all (the measured 1M-doc wall was that
       ~60M-row exchange). Absent bigrams default to lg = 0, which is
@@ -289,7 +292,7 @@ def bigram_familiarity(
     # the hapax tail and neither scoring path ever carries it)
     counts = _bigram_counts_sharded(ds, text_col)
 
-    if counts.count() <= broadcast_limit:  # metadata only after materialize
+    if counts.count() <= BROADCAST_LIMIT:  # metadata only after materialize
         return _bigram_score_broadcast(ds, counts, text_col, id_col)
 
     # ---- pass 2: per-(doc, bigram) occurrences cogrouped with counts

@@ -2,12 +2,11 @@
 
 Patterns demonstrated (each is the scale-path shape, not the easy one):
 
-  - pre-aggregated groupby: partial sums per batch BEFORE the shuffle
-    (``pricing_summary``) so the exchange carries one row per key per
-    batch, not one per lineitem
-  - broadcast hash join: dimension side materialized once via
-    ``ray.put``, probed per batch with a pandas merge — no shuffle of
-    the fact table (``broadcast_join``)
+  - pre-aggregated join: partial sums per batch BEFORE the exchange
+    (``order_priority_revenue``) so the exchange carries one row per
+    key per batch, not one per lineitem
+  - range join: disjoint ranges broadcast once, probed per batch with
+    one ``searchsorted`` (``range_join``) — no shuffle of the big side
   - top-k: groupby-aggregate then global ``sort.limit`` over the
     already-small aggregate
   - distinct-count: two-stage groupby (key,user -> key) so the heavy
@@ -19,12 +18,11 @@ Patterns demonstrated (each is the scale-path shape, not the easy one):
     co-located AND time-sorted — shuffled by a COARSE user bucket
     (cheap hash exchange of narrow rows), with the per-user sort +
     gap fold vectorized in pandas inside each bucket group
-  - as-of join: latest order at-or-before each event's timestamp —
-    the order side rides as a broadcast (``ray.put`` once), probed per
-    batch with ``pd.merge_asof`` (vectorized backward search); the
-    event side never shuffles. The big-right-side swap IS implemented:
-    ``latest_order_asof_partitioned`` hash-partitions both sides on a
-    coarse customer bucket and runs the same merge_asof per bucket.
+  - as-of join: latest order at-or-before each event's timestamp, one
+    vectorized backward ``pd.merge_asof`` per batch or bucket. The
+    order side's size picks the route (``exchange.fits_broadcast``): a
+    small side rides as a broadcast and the event side never shuffles;
+    a big one co-locates both sides on a coarse customer bucket.
 """
 
 from __future__ import annotations
@@ -40,22 +38,18 @@ import ray
 import ray.data
 
 from pdf_extractor_ray.functions.common import coalesce_for_exchange
-from pdf_extractor_ray.functions.exchange import cogroup
+from pdf_extractor_ray.functions.exchange import cogroup, fits_broadcast
 from ray.data.aggregate import Max, Min, Sum
 
 __all__ = [
-    "broadcast_join",
     "skew_join",
-    "range_join_broadcast",
-    "range_join_partitioned",
-    "pricing_summary",
+    "range_join",
     "events_hopping_window",
     "distinct_users_per_type",
     "brand_revenue_topk",
     "sessionize_users",
     "sessionize_events",
     "latest_order_asof",
-    "latest_order_asof_partitioned",
     "topk_per_group",
     "order_priority_revenue",
     "exact_quantiles",
@@ -74,26 +68,6 @@ __all__ = [
     "orders_with_returns",
     "customer_order_distribution",
 ]
-
-
-def broadcast_join(
-    ds: ray.data.Dataset,
-    small: pd.DataFrame,
-    on: str,
-    how: str = "inner",
-) -> ray.data.Dataset:
-    """Join a large Dataset against a small in-memory side, broadcast
-    once and probed per batch (no shuffle of the large side).
-
-    Stateless task: ``ray.get`` of a numeric-columned DataFrame is a
-    near-zero-copy plasma read, so re-fetching per batch costs nothing
-    and the task form avoids an actor pool's ramp-up."""
-    ref = ray.put(small)
-
-    def probe(batch: pd.DataFrame) -> pd.DataFrame:
-        return batch.merge(ray.get(ref), on=on, how=how)
-
-    return ds.map_batches(probe, batch_format="pandas")
 
 
 def skew_join(
@@ -234,7 +208,7 @@ def skew_join(
     return hot_join.union(cold_join)
 
 
-def range_join_broadcast(
+def range_join(
     ds: ray.data.Dataset,
     ranges: pd.DataFrame,
     value_col: str,
@@ -255,13 +229,13 @@ def range_join_broadcast(
 
     Ray Data has no native range join; the composition is the
     documented custom-operator path (broadcast small side + map_batches
-    probe). Big-big range joins should bucket both sides on aligned
-    interval bins first (same pattern as asof_join_partitioned)."""
+    probe). The range table arrives as a driver-side frame, so it is
+    always small enough to broadcast."""
     r = ranges.sort_values(lo_col).reset_index(drop=True)
     lo = r[lo_col].to_numpy()
     hi = r[hi_col].to_numpy()
     if len(r) > 1 and not (hi[:-1] <= lo[1:]).all():
-        raise ValueError("ranges overlap; range_join_broadcast needs disjoint ranges")
+        raise ValueError("ranges overlap; range_join needs disjoint ranges")
     ref = ray.put((lo, hi, r[key_col].to_numpy()))
 
     def probe(batch: pa.Table) -> pa.Table:
@@ -277,135 +251,6 @@ def range_join_broadcast(
         return out
 
     return ds.map_batches(probe, batch_format="pyarrow")
-
-
-def range_join_partitioned(
-    ds: ray.data.Dataset,
-    ranges: pd.DataFrame,
-    value_col: str,
-    lo_col: str = "lo",
-    hi_col: str = "hi",
-    key_col: str = "range_key",
-    bin_width: float = 100.0,
-    n_buckets: int = 64,
-) -> ray.data.Dataset:
-    """The big-range-side variant of ``range_join_broadcast``: when the
-    range table is too large to broadcast (100M IP blocks), co-locate
-    rows and ranges by value bin instead. Bin ``floor(value /
-    bin_width)``; every range replicates to each bin it overlaps
-    (choose bin_width >= typical range width so replication stays
-    ~1x); ONE coarse exchange on ``bin % n_buckets`` brings each row
-    together with every range that could contain it, and the in-bucket
-    probe is the same sorted searchsorted. Disjointness makes the
-    nearest-lo candidate the only possible container, so presence of
-    unrelated bins' ranges in a shared bucket cannot mis-join.
-
-    Inner semantics (matched rows only). Output matches
-    ``range_join_broadcast(how='inner')`` row-for-row — pinned by
-    test.
-    """
-    r = ranges.sort_values(lo_col).reset_index(drop=True)
-    lo = r[lo_col].to_numpy()
-    hi = r[hi_col].to_numpy()
-    if len(r) > 1 and not (hi[:-1] <= lo[1:]).all():
-        raise ValueError("ranges overlap; range joins need disjoint ranges")
-    # replicate each range to its overlapped bins (driver-side: the
-    # range table is the SMALLER side even when too big to broadcast
-    # per-task; at true 100M-range scale this expansion itself becomes
-    # a map_batches over a ranges Dataset — same math, same exchange)
-    rep_rows = []
-    for lo_v, hi_v, k in zip(lo, hi, r[key_col].to_numpy()):
-        b0 = int(np.floor(lo_v / bin_width))
-        b1 = int(np.floor(np.nextafter(hi_v, -np.inf) / bin_width))
-        for b in range(b0, b1 + 1):
-            rep_rows.append((b, lo_v, hi_v, k))
-    rep = pd.DataFrame(
-        rep_rows, columns=["_bin", lo_col, hi_col, key_col]
-    ).astype({lo_col: "float64", hi_col: "float64", "_bin": "int64"})
-
-    row_schema = ds.schema()
-    row_fields = list(zip(row_schema.names, row_schema.types))
-    row_schema_cols = list(row_schema.names)
-
-    def add_bin(batch: pa.Table) -> pa.Table:
-        v = batch[value_col].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "_bin", pa.array(np.floor(v / bin_width).astype(np.int64))
-        )
-
-    def probe(rows: pa.Table, rngs: pa.Table) -> pd.DataFrame | None:
-        rows = rows.to_pandas()
-        rr = (
-            rngs.to_pandas()[[lo_col, hi_col, key_col]]
-            .drop_duplicates(subset=[lo_col])
-            .sort_values(lo_col)
-        )
-        if not len(rows) or not len(rr):
-            return None
-        l = rr[lo_col].to_numpy()
-        h = rr[hi_col].to_numpy()
-        k = rr[key_col].to_numpy()
-        v = rows[value_col].to_numpy()
-        idx = np.searchsorted(l, v, side="right") - 1
-        safe = np.clip(idx, 0, None)
-        ok = (idx >= 0) & (v < h[safe]) & (v >= l[safe])
-        out = rows.loc[ok, row_schema_cols].copy()
-        out[key_col] = k[safe[ok]]
-        return out
-
-    ranges_schema = pa.schema(
-        [("_bin", pa.int64()), (lo_col, pa.float64()), (hi_col, pa.float64()),
-         (key_col, pa.string())]
-    )
-    return cogroup(
-        {
-            "rows": (
-                ds.map_batches(add_bin, batch_format="pyarrow"),
-                "_bin",
-                pa.schema(row_fields + [("_bin", pa.int64())]),
-            ),
-            "rngs": (ray.data.from_pandas(rep), "_bin", ranges_schema),
-        },
-        probe,
-        pa.schema(row_fields + [(key_col, pa.string())]),
-        n_buckets=n_buckets,
-        coalesce=False,
-    )
-
-
-def pricing_summary(lineitem: ray.data.Dataset) -> ray.data.Dataset:
-    """TPC-H Q1-shaped pricing summary with per-batch pre-aggregation.
-
-    Output per (l_returnflag, l_linestatus): sum_qty, sum_base_price,
-    sum_disc_price, n_rows.
-    """
-
-    def partial(batch: pa.Table) -> pa.Table:
-        disc_price = pc.multiply(
-            batch["l_extendedprice"], pc.subtract(pa.scalar(1.0), batch["l_discount"])
-        )
-        batch = batch.append_column("disc_price", disc_price)
-        df = batch.select(
-            ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "disc_price"]
-        ).to_pandas()
-        g = (
-            df.groupby(["l_returnflag", "l_linestatus"], as_index=False)
-            .agg(
-                sum_qty=("l_quantity", "sum"),
-                sum_base_price=("l_extendedprice", "sum"),
-                sum_disc_price=("disc_price", "sum"),
-                n_rows=("l_quantity", "size"),
-            )
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    partials = lineitem.map_batches(partial, batch_format="pyarrow")
-    return partials.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("sum_qty", alias_name="sum_qty"),
-        Sum("sum_base_price", alias_name="sum_base_price"),
-        Sum("sum_disc_price", alias_name="sum_disc_price"),
-        Sum("n_rows", alias_name="n_rows"),
-    )
 
 
 def distinct_users_per_type(
@@ -603,22 +448,12 @@ def sessionize_events(
     )
 
 
-def latest_order_asof(
-    events: ray.data.Dataset, orders_small: pd.DataFrame
-) -> ray.data.Dataset:
-    """As-of join: for each event, the customer's latest order with
-    ``o_orderdate <= ts``; rolled up per event_type.
-
-    Output per event_type: ``n_events``, ``n_matched``,
-    ``sum_price_c`` (matched o_totalprice in integer centi-units).
-    The order side is deduped to one row per (custkey, orderdate) —
-    keeping max(o_totalprice) — so the as-of match is well-defined on
-    ties, then broadcast once; each event batch runs one vectorized
-    ``pd.merge_asof`` probe and emits a per-type partial aggregate, so
-    the final shuffle carries a handful of rows per batch.
-    """
+def _latest_orders(orders: pd.DataFrame) -> pd.DataFrame:
+    """The as-of join's order side: one row per (custkey, orderdate)
+    keeping max(o_totalprice), so the match is well-defined on ties,
+    sorted by date as ``merge_asof`` requires."""
     right = (
-        orders_small.groupby(["o_custkey", "o_orderdate"], as_index=False)
+        orders.groupby(["o_custkey", "o_orderdate"], as_index=False)
         .agg(o_totalprice=("o_totalprice", "max"))
         .sort_values("o_orderdate")
         .reset_index(drop=True)
@@ -626,121 +461,98 @@ def latest_order_asof(
     # merge_asof requires IDENTICAL time dtypes on both keys; sources
     # differ (parquet yields us, pd.to_datetime yields ns) — pin both
     right["o_orderdate"] = right["o_orderdate"].astype("datetime64[us]")
-    right_ref = ray.put(right)
+    return right
 
-    def probe(batch: pd.DataFrame) -> pd.DataFrame:
-        b = batch[["event_type", "user_id", "ts"]].sort_values("ts")
-        b["ts"] = b["ts"].astype("datetime64[us]")
-        m = pd.merge_asof(
-            b,
-            ray.get(right_ref),  # near-zero-copy (numeric columns)
-            left_on="ts",
-            right_on="o_orderdate",
-            left_by="user_id",
-            right_by="o_custkey",
-            direction="backward",
-        )
-        matched = m["o_totalprice"].notna()
-        price_c = np.floor(
-            m["o_totalprice"].fillna(0.0) * 100 + 0.5
-        ).astype("int64")
-        part = pd.DataFrame(
-            {
-                "event_type": m["event_type"],
-                "matched": matched.astype("int64"),
-                "price_c": price_c.where(matched, 0),
-            }
-        )
-        return part.groupby("event_type", as_index=False).agg(
-            n_events=("matched", "size"),
-            n_matched=("matched", "sum"),
-            sum_price_c=("price_c", "sum"),
-        )
 
-    partials = events.map_batches(probe, batch_format="pandas")
-    return partials.groupby("event_type").aggregate(
-        Sum("n_events", alias_name="n_events"),
-        Sum("n_matched", alias_name="n_matched"),
-        Sum("sum_price_c", alias_name="sum_price_c"),
+def _asof_partial(events: pd.DataFrame, latest: pd.DataFrame) -> pd.DataFrame:
+    """Per-event_type partial of the as-of join: each event matches
+    its user's latest order at or before ``ts`` (one vectorized
+    backward ``merge_asof``)."""
+    b = events[["event_type", "user_id", "ts"]].sort_values("ts")
+    b["ts"] = b["ts"].astype("datetime64[us]")
+    m = pd.merge_asof(
+        b,
+        latest,
+        left_on="ts",
+        right_on="o_orderdate",
+        left_by="user_id",
+        right_by="o_custkey",
+        direction="backward",
     )
-
-
-def latest_order_asof_partitioned(
-    events: ray.data.Dataset,
-    orders: ray.data.Dataset,
-    n_buckets: int = 64,
-) -> ray.data.Dataset:
-    """The big-right-side as-of join (the swap the broadcast variant's
-    docstring promises): when the order side is itself corpus-sized,
-    neither side broadcasts — both key on a coarse customer bucket,
-    ONE exchange co-locates each bucket, and a per-bucket vectorized
-    ``merge_asof`` (sorted within the bucket) probes exactly like the
-    broadcast path. Identical output to ``latest_order_asof`` (pinned
-    by test and by sharing the driver oracle)."""
-
-    def tag_orders(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "user_id": batch["o_custkey"],
-                "ts": batch["o_orderdate"],
-                "price": batch["o_totalprice"],
-            }
-        )
-
-    def probe_in_bucket(evs: pa.Table, ords: pa.Table) -> pd.DataFrame:
-        left = evs.to_pandas()
-        right = (
-            ords.to_pandas()
-            .groupby(["user_id", "ts"], as_index=False)
-            .agg(price=("price", "max"))
-            .sort_values("ts")
-        )
-        b = left[["event_type", "user_id", "ts"]].sort_values("ts")
-        b["ts"] = b["ts"].astype("datetime64[us]")
-        right = right.rename(columns={"ts": "o_orderdate"})
-        right["o_orderdate"] = right["o_orderdate"].astype("datetime64[us]")
-        m = pd.merge_asof(
-            b, right,
-            left_on="ts", right_on="o_orderdate",
-            by="user_id", direction="backward",
-        )
-        matched = m["price"].notna()
-        price_c = np.floor(m["price"].fillna(0.0) * 100 + 0.5).astype("int64")
-        part = pd.DataFrame(
-            {
-                "event_type": m["event_type"],
-                "matched": matched.astype("int64"),
-                "price_c": price_c.where(matched, 0),
-            }
-        )
-        return part.groupby("event_type", as_index=False).agg(
-            n_events=("matched", "size"),
-            n_matched=("matched", "sum"),
-            sum_price_c=("price_c", "sum"),
-        )
-
-    ts_us = pa.timestamp("us")
-    partials = cogroup(
+    matched = m["o_totalprice"].notna()
+    price_c = np.floor(m["o_totalprice"].fillna(0.0) * 100 + 0.5).astype("int64")
+    part = pd.DataFrame(
         {
-            "evs": (
-                events,
-                "user_id",
-                pa.schema([("event_type", pa.string()), ("user_id", pa.int64()), ("ts", ts_us)]),
-            ),
-            "ords": (
-                orders.map_batches(tag_orders, batch_format="pyarrow"),
-                "user_id",
-                pa.schema([("user_id", pa.int64()), ("ts", ts_us), ("price", pa.float64())]),
-            ),
-        },
-        probe_in_bucket,
-        pa.schema(
-            [("event_type", pa.string()), ("n_events", pa.int64()),
-             ("n_matched", pa.int64()), ("sum_price_c", pa.int64())]
-        ),
-        n_buckets=n_buckets,
-        coalesce=False,
+            "event_type": m["event_type"],
+            "matched": matched.astype("int64"),
+            "price_c": price_c.where(matched, 0),
+        }
     )
+    return part.groupby("event_type", as_index=False).agg(
+        n_events=("matched", "size"),
+        n_matched=("matched", "sum"),
+        sum_price_c=("price_c", "sum"),
+    )
+
+
+def latest_order_asof(
+    events: ray.data.Dataset, orders: ray.data.Dataset
+) -> ray.data.Dataset:
+    """As-of join: for each event, the customer's latest order with
+    ``o_orderdate <= ts``; rolled up per event_type.
+
+    Output per event_type: ``n_events``, ``n_matched``,
+    ``sum_price_c`` (matched o_totalprice in integer centi-units).
+
+    The order side's three columns are materialized once and the route
+    follows their size (:func:`exchange.fits_broadcast`). A small side
+    is deduped on the driver and broadcast once; each event batch runs
+    the as-of kernel against it and the event side never shuffles. A
+    larger side co-locates both sides on a customer bucket in one
+    exchange and runs the same kernel per bucket. Either way each
+    batch or bucket emits a per-type partial, so the final groupby
+    carries a handful of rows per task.
+    """
+    orders = orders.select_columns(
+        ["o_custkey", "o_orderdate", "o_totalprice"]
+    ).materialize()
+    if fits_broadcast(orders):
+        latest_ref = ray.put(_latest_orders(orders.to_pandas()))
+        partials = events.map_batches(
+            lambda batch: _asof_partial(batch, ray.get(latest_ref)),
+            batch_format="pandas",
+        )
+    else:
+        ts_us = pa.timestamp("us")
+        partials = cogroup(
+            {
+                "evs": (
+                    events,
+                    "user_id",
+                    pa.schema(
+                        [("event_type", pa.string()), ("user_id", pa.int64()),
+                         ("ts", ts_us)]
+                    ),
+                ),
+                "ords": (
+                    orders,
+                    "o_custkey",
+                    pa.schema(
+                        [("o_custkey", pa.int64()), ("o_orderdate", ts_us),
+                         ("o_totalprice", pa.float64())]
+                    ),
+                ),
+            },
+            lambda evs, ords: _asof_partial(
+                evs.to_pandas(), _latest_orders(ords.to_pandas())
+            ),
+            pa.schema(
+                [("event_type", pa.string()), ("n_events", pa.int64()),
+                 ("n_matched", pa.int64()), ("sum_price_c", pa.int64())]
+            ),
+            n_buckets=64,
+            coalesce=False,
+        )
     return partials.groupby("event_type").aggregate(
         Sum("n_events", alias_name="n_events"),
         Sum("n_matched", alias_name="n_matched"),
@@ -798,8 +610,7 @@ def order_priority_revenue(
     ``Dataset.join`` hash join at 10M lineitems x 2.5M orders (12 s vs
     100 s), because the fact side is pre-aggregated per batch before
     the exchange and the join output never materializes beyond each
-    bucket. The complementary broadcast-join shape (small dimension)
-    is ``broadcast_join``.
+    bucket.
     """
 
     def partial(batch: pa.Table) -> pa.Table:

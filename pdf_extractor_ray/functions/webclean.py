@@ -20,12 +20,20 @@ from __future__ import annotations
 
 import hashlib
 import re
+from urllib.parse import urlsplit
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 
+import ray
 import ray.data
+
+from pdf_extractor_ray.functions.exchange import cogroup, fits_broadcast
+from pdf_extractor_ray.kernel.robots import (
+    compile_rules,
+    is_allowed,
+    parse_robots,
+    select_group,
+)
 
 __all__ = [
     "canonicalize_url",
@@ -34,7 +42,6 @@ __all__ = [
     "c4_stats_batch",
     "c4_stats",
     "robots_gate",
-    "robots_gate_broadcast",
     "sniff_bodies",
 ]
 
@@ -179,6 +186,42 @@ def c4_stats(ds: ray.data.Dataset, **kw) -> ray.data.Dataset:
     return ds.map_batches(c4_stats_batch, batch_format="pyarrow", fn_kwargs=kw)
 
 
+# Per-worker cache of broadcast compiled-rules tables (keyed by object
+# ref): parse+compile once per process, not once per batch.
+_ROBOTS_CACHE: dict = {}
+
+_HOST_KEY = "_robots_host"
+
+
+def _url_host_path(u: str) -> tuple[str, str]:
+    """(lowercased host, path plus query) of a url: the robots.txt
+    lookup key and the string its rules match."""
+    parts = urlsplit(u)
+    path = parts.path or "/"
+    if parts.query:
+        path += "?" + parts.query
+    return (parts.hostname or "").lower(), path
+
+
+def _allowed(urls: list, rules_by_host: dict) -> pa.Array:
+    """1 where the url's host rules allow it (a host without a robots
+    row allows everything: the RFC's unreachable-robots default for
+    4xx), else 0."""
+    out = []
+    for u in urls:
+        host, path = _url_host_path(u)
+        compiled = rules_by_host.get(host)
+        out.append(1 if compiled is None or is_allowed(compiled, path) else 0)
+    return pa.array(out, pa.int64())
+
+
+def _compile_hosts(hosts: list, txts: list, agent: str) -> dict:
+    return {
+        (h or "").lower(): compile_rules(select_group(parse_robots(t or ""), agent))
+        for h, t in zip(hosts, txts)
+    }
+
+
 def robots_gate(
     urls: ray.data.Dataset,
     robots: ray.data.Dataset,
@@ -186,151 +229,77 @@ def robots_gate(
     url_col: str = "url",
     host_col: str = "host",
     txt_col: str = "robots_txt",
-    n_buckets: int = 256,
 ) -> ray.data.Dataset:
     """RFC 9309 crawl gate: decide allowed/denied for every URL against
     its host's robots.txt (``robots`` = one (host, robots_txt) row per
-    host, e.g. from the fetch layer). Output: (url, host, allowed).
+    host, e.g. from the fetch layer). Output: the url rows with every
+    input column kept, plus ``allowed`` (int64: 1 allowed, 0 denied).
+    URLs whose host has no robots row are allowed.
 
-    Distributed shape: the standard two-sided coarse host-bucket
-    cogroup — both sides exchange once on a hash bucket of the host
-    (at 100 TB the robots side is host-cardinality-sized and must
-    shuffle, not broadcast); inside each bucket the host's rule group
-    is parsed + compiled ONCE and applied to all of that host's URLs.
-    URLs whose host has no robots row are allowed (the RFC's
-    unreachable-robots default for 4xx)."""
-    from urllib.parse import urlsplit
+    The robots store is materialized and its size picks the route
+    (:func:`exchange.fits_broadcast`). A small store is ``ray.put``
+    once, and each worker process parses and compiles each host's
+    rules once: no exchange at all. A host-cardinality-sized store
+    shuffles instead: both sides exchange once on the url host, and
+    inside each bucket a host's rule group is parsed and compiled once
+    and applied to all of that host's URLs."""
+    robots = robots.select_columns([host_col, txt_col]).materialize()
+    if fits_broadcast(robots):
+        store = robots.to_pandas()
+        table_ref = ray.put((store[host_col].tolist(), store[txt_col].tolist()))
 
-    from pdf_extractor_ray.kernel.robots import (
-        compile_rules,
-        is_allowed,
-        parse_robots,
-        select_group,
-    )
-    from pdf_extractor_ray.functions.exchange import cogroup
+        def check(batch: pa.Table) -> pa.Table:
+            key = (table_ref.hex(), agent)
+            rules = _ROBOTS_CACHE.get(key)
+            if rules is None:
+                rules = _compile_hosts(*ray.get(table_ref), agent)
+                _ROBOTS_CACHE.clear()  # one robots store at a time per worker
+                _ROBOTS_CACHE[key] = rules
+            allowed = _allowed(batch[url_col].to_pylist(), rules)
+            return batch.append_column("allowed", allowed)
 
-    def tag_urls(batch: pa.Table) -> pa.Table:
-        us = batch[url_col].to_pylist()
-        hosts = [(urlsplit(u).hostname or "").lower() for u in us]
-        return pa.table(
-            {
-                "host": pa.array(hosts, pa.string()),
-                "u": pa.array(us, pa.string()),
-            }
-        )
+        return urls.map_batches(check, batch_format="pyarrow")
 
-    def tag_robots(batch: pa.Table) -> pa.Table:
+    def key_urls(batch: pa.Table) -> pa.Table:
+        hosts = [_url_host_path(u)[0] for u in batch[url_col].to_pylist()]
+        return batch.append_column(_HOST_KEY, pa.array(hosts, pa.string()))
+
+    def key_robots(batch: pa.Table) -> pa.Table:
         hosts = [(h or "").lower() for h in batch[host_col].to_pylist()]
         return pa.table(
-            {
-                "host": pa.array(hosts, pa.string()),
-                "u": batch[txt_col],
-            }
+            {_HOST_KEY: pa.array(hosts, pa.string()), txt_col: batch[txt_col]}
         )
 
     def gate(side_u: pa.Table, rules: pa.Table) -> pa.Table:
-        rules_by_host = {
-            h: compile_rules(select_group(parse_robots(t or ""), agent))
-            for h, t in zip(rules["host"].to_pylist(), rules["u"].to_pylist())
-        }
-        side_u = side_u.to_pandas()
-        urls_out, hosts_out, allowed = [], [], []
-        for h, u in zip(side_u["host"], side_u["u"]):
-            compiled = rules_by_host.get(h)
-            if compiled is None:
-                ok = True
-            else:
-                parts = urlsplit(u)
-                path = parts.path or "/"
-                if parts.query:
-                    path += "?" + parts.query
-                ok = is_allowed(compiled, path)
-            urls_out.append(u)
-            hosts_out.append(h)
-            allowed.append(1 if ok else 0)
-        return pa.table(
-            {
-                "url": pa.array(urls_out, pa.string()),
-                "host": pa.array(hosts_out, pa.string()),
-                "allowed": pa.array(allowed, pa.int64()),
-            }
+        by_host = _compile_hosts(
+            rules[_HOST_KEY].to_pylist(), rules[txt_col].to_pylist(), agent
         )
+        allowed = _allowed(side_u[url_col].to_pylist(), by_host)
+        return side_u.drop_columns([_HOST_KEY]).append_column("allowed", allowed)
 
-    host_u = pa.schema([("host", pa.string()), ("u", pa.string())])
+    # the sort exchange is a barrier anyway; materializing the urls
+    # gives their payload schema without running the upstream twice
+    urls = urls.materialize()
+    schema = urls.schema()
+    url_schema = pa.schema(list(zip(schema.names, schema.types)))
     return cogroup(
         {
-            "side_u": (urls.map_batches(tag_urls, batch_format="pyarrow"), "host", host_u),
-            "rules": (robots.map_batches(tag_robots, batch_format="pyarrow"), "host", host_u),
+            "side_u": (
+                urls.map_batches(key_urls, batch_format="pyarrow"),
+                _HOST_KEY,
+                url_schema.append(pa.field(_HOST_KEY, pa.string())),
+            ),
+            "rules": (
+                robots.map_batches(key_robots, batch_format="pyarrow"),
+                _HOST_KEY,
+                pa.schema([(_HOST_KEY, pa.string()), (txt_col, pa.string())]),
+            ),
         },
         gate,
-        pa.schema([("url", pa.string()), ("host", pa.string()), ("allowed", pa.int64())]),
-        n_buckets=n_buckets,
+        url_schema.append(pa.field("allowed", pa.int64())),
+        n_buckets=256,
         coalesce=True,
     )
-
-
-# Per-worker cache of broadcast compiled-rules tables (keyed by object
-# ref): parse+compile once per process, not once per batch.
-_ROBOTS_CACHE: dict = {}
-
-
-def robots_gate_broadcast(
-    ds: ray.data.Dataset,
-    robots_table: "pa.Table",
-    agent: str = "graftbot",
-    url_col: str = "url",
-    host_col: str = "host",
-    txt_col: str = "robots_txt",
-) -> ray.data.Dataset:
-    """Small-side variant of :func:`robots_gate`: the (host,
-    robots_txt) table is ``ray.put`` once and every task reads it
-    zero-copy from plasma, parsing + compiling each host's rules once
-    per worker process — no exchange at all. Use when the robots store
-    fits comfortably in memory (its size bounds driver/worker state);
-    :func:`robots_gate` is the shuffle path for host-cardinality-sized
-    stores. Appends an ``allowed`` int64 column to ``ds``."""
-    from urllib.parse import urlsplit
-
-    import ray as _ray
-
-    from pdf_extractor_ray.kernel.robots import (
-        compile_rules,
-        is_allowed,
-        parse_robots,
-        select_group,
-    )
-
-    table_ref = _ray.put(robots_table)
-
-    def check(batch: pa.Table) -> pa.Table:
-        key = (table_ref.hex(), agent)
-        rules = _ROBOTS_CACHE.get(key)
-        if rules is None:
-            t = _ray.get(table_ref)
-            rules = {
-                (h or "").lower(): compile_rules(
-                    select_group(parse_robots(txt or ""), agent)
-                )
-                for h, txt in zip(
-                    t[host_col].to_pylist(), t[txt_col].to_pylist()
-                )
-            }
-            _ROBOTS_CACHE.clear()  # one robots store at a time per worker
-            _ROBOTS_CACHE[key] = rules
-        allowed = []
-        for u in batch[url_col].to_pylist():
-            parts = urlsplit(u)
-            compiled = rules.get((parts.hostname or "").lower())
-            if compiled is None:
-                allowed.append(1)
-                continue
-            path = parts.path or "/"
-            if parts.query:
-                path += "?" + parts.query
-            allowed.append(1 if is_allowed(compiled, path) else 0)
-        return batch.append_column("allowed", pa.array(allowed, pa.int64()))
-
-    return ds.map_batches(check, batch_format="pyarrow")
 
 
 def sniff_bodies(

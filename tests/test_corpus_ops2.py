@@ -107,10 +107,10 @@ class TestAsofJoin:
         events = ray.data.read_parquet(
             f"{SF}/events.parquet", columns=["event_type", "user_id", "ts"]
         )
-        orders = pq.read_table(
+        orders = ray.data.read_parquet(
             f"{SF}/orders.parquet",
             columns=["o_custkey", "o_orderdate", "o_totalprice"],
-        ).to_pandas()
+        )
         got = _canon(_to_pandas(latest_order_asof(events, orders)))
         want = _canon(
             _duck()
@@ -498,44 +498,6 @@ class TestPivotAndRollup:
         assert fine["n_rows"].sum() == total["n_rows"].iloc[0]
 
 
-class TestAsofPartitioned:
-    def test_partitioned_equals_broadcast(self, ray_session):
-        """The big-right-side as-of variant must produce byte-identical
-        rollups to the broadcast path on the same inputs."""
-        import pandas as pd
-        import pyarrow.parquet as pq
-
-        import ray.data
-
-        from pdf_extractor_ray.functions.relational import (
-            latest_order_asof,
-            latest_order_asof_partitioned,
-        )
-
-        events = ray.data.read_parquet(
-            f"{SF}/events.parquet", columns=["event_type", "user_id", "ts"]
-        )
-        orders_pd = pq.read_table(
-            f"{SF}/orders.parquet",
-            columns=["o_custkey", "o_orderdate", "o_totalprice"],
-        ).to_pandas()
-        a = latest_order_asof(events, orders_pd).to_pandas()
-        events2 = ray.data.read_parquet(
-            f"{SF}/events.parquet", columns=["event_type", "user_id", "ts"]
-        )
-        orders_ds = ray.data.read_parquet(
-            f"{SF}/orders.parquet",
-            columns=["o_custkey", "o_orderdate", "o_totalprice"],
-        )
-        b = latest_order_asof_partitioned(events2, orders_ds).to_pandas()
-        key = "event_type"
-        pd.testing.assert_frame_equal(
-            a.sort_values(key).reset_index(drop=True),
-            b.sort_values(key).reset_index(drop=True),
-            check_dtype=False,
-        )
-
-
 class TestRangeJoinBroadcast:
     def _ranges(self):
         import pandas as pd
@@ -551,9 +513,7 @@ class TestRangeJoinBroadcast:
     def test_inner_drops_gaps_and_bounds(self, ray_session):
         import pyarrow as pa
 
-        from pdf_extractor_ray.functions.relational import (
-            range_join_broadcast,
-        )
+        from pdf_extractor_ray.functions.relational import range_join
 
         # values probe: inside, on-lo (in), on-hi (out), gap, below, above
         vals = [0.0, 4.999, 5.0, 10.0, 19.999, 25.0, -1.0, 39.0, 40.0]
@@ -566,7 +526,7 @@ class TestRangeJoinBroadcast:
             )
         ).repartition(3)
         out = (
-            range_join_broadcast(ds, self._ranges(), value_col="value")
+            range_join(ds, self._ranges(), value_col="value")
             .to_pandas()
             .sort_values("event_id")
         )
@@ -576,9 +536,7 @@ class TestRangeJoinBroadcast:
     def test_left_keeps_nulls(self, ray_session):
         import pyarrow as pa
 
-        from pdf_extractor_ray.functions.relational import (
-            range_join_broadcast,
-        )
+        from pdf_extractor_ray.functions.relational import range_join
 
         ds = ray_session.data.from_arrow(
             pa.table(
@@ -589,7 +547,7 @@ class TestRangeJoinBroadcast:
             )
         )
         out = (
-            range_join_broadcast(
+            range_join(
                 ds, self._ranges(), value_col="value", how="left"
             )
             .to_pandas()
@@ -601,29 +559,22 @@ class TestRangeJoinBroadcast:
         import pandas as pd
         import pytest as _pytest
 
-        from pdf_extractor_ray.functions.relational import (
-            range_join_broadcast,
-        )
+        from pdf_extractor_ray.functions.relational import range_join
 
         bad = pd.DataFrame(
             {"lo": [0, 3], "hi": [5, 8], "range_key": ["a", "b"]}
         )
         with _pytest.raises(ValueError, match="overlap"):
-            range_join_broadcast(
+            range_join(
                 ray_session.data.range(1), bad, value_col="id"
             )
 
-
-class TestRangeJoinPartitioned:
-    def test_matches_broadcast_path(self, ray_session):
+    def test_matches_interval_index_reference(self, ray_session):
         import numpy as np
         import pandas as pd
         import pyarrow as pa
 
-        from pdf_extractor_ray.functions.relational import (
-            range_join_broadcast,
-            range_join_partitioned,
-        )
+        from pdf_extractor_ray.functions.relational import range_join
 
         rng = np.random.RandomState(11)
         vals = (rng.rand(2000) * 1000).round(3)
@@ -635,7 +586,7 @@ class TestRangeJoinPartitioned:
                 }
             )
         ).repartition(6)
-        # irregular disjoint ranges with gaps, some spanning bins
+        # irregular disjoint ranges with gaps
         ranges = pd.DataFrame(
             {
                 "lo": [0, 40, 95, 210, 420, 430, 700],
@@ -643,23 +594,19 @@ class TestRangeJoinPartitioned:
                 "range_key": list("abcdefg"),
             }
         )
-        want = (
-            range_join_broadcast(ds, ranges, value_col="value")
+        idx = pd.IntervalIndex.from_arrays(
+            ranges["lo"], ranges["hi"], closed="left"
+        ).get_indexer(vals)
+        hit = idx >= 0
+        got = (
+            range_join(ds, ranges, value_col="value")
             .to_pandas()
             .sort_values("event_id")
             .reset_index(drop=True)
         )
-        got = (
-            range_join_partitioned(
-                ds, ranges, value_col="value", bin_width=100.0, n_buckets=8
-            )
-            .to_pandas()[["event_id", "value", "range_key"]]
-            .sort_values("event_id")
-            .reset_index(drop=True)
-        )
-        assert list(want["event_id"]) == list(got["event_id"])
-        assert list(want["range_key"]) == list(got["range_key"])
-        assert len(want) > 100  # the test actually joined things
+        assert list(got["event_id"]) == list(np.flatnonzero(hit))
+        assert list(got["range_key"]) == list(ranges["range_key"].to_numpy()[idx[hit]])
+        assert len(got) > 100  # the test actually joined things
 
 
 class TestSampledQuantiles:

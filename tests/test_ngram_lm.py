@@ -54,7 +54,7 @@ class TestBigramFamiliarity:
         """The head-broadcast path (absent bigram => lg 0) and the
         bigram-bucket cogroup path must agree bit for bit, including
         docs whose bigrams are ALL singletons (fam row comes from the
-        doc_totals union on the exchange path). ``broadcast_limit``
+        doc_totals union on the exchange path). ``BROADCAST_LIMIT``
         picks the path: a zero limit must take the exchange path, a
         large one the broadcast path."""
         from pdf_extractor_ray.functions import ngram_lm
@@ -80,9 +80,11 @@ class TestBigramFamiliarity:
         rows.append({"doc_id": 900, "text": "zzq yyx wwv uut"})  # all hapax
         ds = ray.data.from_arrow(pa.Table.from_pylist(rows))
         outs = {}
+        default_limit = ngram_lm.BROADCAST_LIMIT
         for path, limit in (("broadcast", 10**12), ("exchange", 0)):
             broadcasts.clear()
-            got = bigram_familiarity(ds, broadcast_limit=limit).to_pandas()
+            monkeypatch.setattr(ngram_lm, "BROADCAST_LIMIT", limit)
+            got = bigram_familiarity(ds).to_pandas()
             assert len(broadcasts) == (path == "broadcast")
             outs[path] = (
                 got[sorted(got.columns)]
@@ -93,6 +95,7 @@ class TestBigramFamiliarity:
         pd.testing.assert_frame_equal(outs["broadcast"], outs["exchange"])
         assert 900 in set(outs["broadcast"]["doc_id"])
         # the default limit must agree too
+        monkeypatch.setattr(ngram_lm, "BROADCAST_LIMIT", default_limit)
         got = bigram_familiarity(ds).to_pandas()
         got = (
             got[sorted(got.columns)]

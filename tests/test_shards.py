@@ -383,3 +383,32 @@ def test_bucket_exchanges_live_only_in_exchange_module():
                 if "bucket" in key or key.startswith("_"):
                     offenders.append(f"{where} groupby({key!r})")
     assert offenders == []
+
+
+def test_no_route_twins_or_route_parameters():
+    """One path per operator: no public function under functions/ is a
+    ``*_broadcast`` / ``*_partitioned`` twin, or takes a parameter that
+    lets the caller pick a route or its threshold. An operator with two
+    routes picks one itself (exchange.fits_broadcast is that rule, so
+    its name is the one exemption)."""
+    route_params = {"prefilter", "auto_broadcast_max", "broadcast_limit"}
+    offenders = []
+    for path in sorted(FUNCTIONS.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                defs += [n for n in cls.body if isinstance(n, ast.FunctionDef)]
+        for fn in defs:
+            if fn.name.startswith("_"):
+                continue
+            where = f"{path.name}:{fn.lineno} {fn.name}"
+            if fn.name.endswith(("_broadcast", "_partitioned")) and (
+                fn.name != "fits_broadcast"
+            ):
+                offenders.append(where)
+            a = fn.args
+            for arg in a.posonlyargs + a.args + a.kwonlyargs:
+                if arg.arg in route_params:
+                    offenders.append(f"{where}({arg.arg})")
+    assert offenders == []
