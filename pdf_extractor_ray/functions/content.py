@@ -143,16 +143,15 @@ def page_html_tables(
     web-side sibling of the PDF cell-grid lane (north rule: "table
     cell-grid detection"): one row per cell, ``(url, table_idx,
     row_idx, col_idx, cell)``, with ``row_idx`` 0 = the header row.
-    Runs the real extraction chain — HTML tokenizer -> pipe-markdown
-    (`html_to_markdown`: script/comment decoys invisible, nested
-    markup stripped) -> element segmentation -> markdown table parser
-    (arity-mismatched rows dropped, the parser's documented contract).
+    Runs the html lane of the extraction kernel
+    (`markdown_extract.extract_html_rows`: script/comment decoys
+    invisible, nested markup stripped, markdown table parser —
+    arity-mismatched rows dropped, the parser's documented contract);
+    the cell grid is each table element's parsed metadata.
     Single streaming map_batches; only cell rows leave the operator."""
-    from pdf_extractor_ray.kernel.html_to_md import html_to_markdown
-    from pdf_extractor_ray.kernel.markdown_extract import (
-        extract_from_markdown_text,
-        parse_markdown_table,
-    )
+    import json
+
+    from pdf_extractor_ray.kernel.markdown_extract import extract_html_rows
 
     def cells(batch: pa.Table) -> pa.Table:
         urls, t_idx, r_idx, c_idx, vals = [], [], [], [], []
@@ -167,12 +166,10 @@ def page_html_tables(
                 else h
             )
             ti = 0
-            for el in extract_from_markdown_text(html_to_markdown(s)):
-                if el.get("type") != "table":
+            for el in extract_html_rows(s):
+                if el["type"] != "table":
                     continue
-                parsed = parse_markdown_table(el["content"])
-                if parsed is None:
-                    continue
+                parsed = json.loads(el["metadata_json"])["table"]
                 grid = [parsed["headers"]] + parsed["rows"]
                 for r, row in enumerate(grid):
                     for c, v in enumerate(row):

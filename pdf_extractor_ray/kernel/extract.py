@@ -19,8 +19,13 @@ llm_integration/utils/corpus_utils.py:119-165):
     pdf   -> pdf-layout kernel (tables, reading order, multi-page merge)
     json  -> pretty-printed JSON string as a single text element
              (corpus_utils.py:132-137)
-    html  -> html_to_markdown -> markdown element extraction
+    html  -> one pass: the tag walk's blocks feed the markdown scanner,
+             which emits the element rows directly
+             (markdown_extract.extract_html_rows) — no markdown string,
+             no line re-split, no envelope dicts
     text  -> markdown element extraction directly
+
+Other lanes' envelope dicts are flattened by ``_slim_element``.
 
 Determinism: ``extraction_date`` is derived from ``warc_ts`` (never wall
 clock); ids are content-md5 / positional (never uuid4).
@@ -31,8 +36,12 @@ from __future__ import annotations
 import json
 from typing import Any, Optional
 
-from pdf_extractor_ray.kernel.html_to_md import html_to_markdown
-from pdf_extractor_ray.kernel.markdown_extract import extract_from_markdown_text
+# unused here, but perfbench's traced run wraps it by attribute
+from pdf_extractor_ray.kernel.html_to_md import html_to_markdown  # noqa: F401
+from pdf_extractor_ray.kernel.markdown_extract import (
+    extract_from_markdown_text,
+    extract_html_rows,
+)
 from pdf_extractor_ray.kernel.payload import route_payload
 from pdf_extractor_ray.kernel.pdfshape import extract_pdf_document
 from pdf_extractor_ray.kernel.textutils import token_count
@@ -106,6 +115,7 @@ def extract_document(
     status = "ok"
     error = ""
     elements: list[dict[str, Any]] = []
+    slim: list[dict[str, Any]] = []  # the html lane builds rows directly
 
     try:
         route = route_payload(html)
@@ -144,10 +154,7 @@ def extract_document(
 
             elements[0]["section_id"] = hash_string(dumped)
         elif kind == "html":
-            markdown = html_to_markdown(route.text)
-            elements = extract_from_markdown_text(
-                markdown, url=url, extraction_date=extraction_date
-            )
+            slim = extract_html_rows(route.text)
         elif kind == "text":
             elements = extract_from_markdown_text(
                 route.text, url=url, extraction_date=extraction_date
@@ -157,21 +164,18 @@ def extract_document(
         status = "error"
         error = f"{type(exc).__name__}: {exc}"
         elements = []
+        slim = []
 
+    slim += [_slim_element(e) for e in elements]
     if finalize and status == "ok":
-        from pdf_extractor_ray.kernel.finalize import (
-            assign_table_ids,
-            ensure_element_types,
-            ensure_required_fields,
-        )
+        from pdf_extractor_ray.kernel.finalize import ensure_element_types
 
-        elements = ensure_required_fields(elements, url)
-        elements = assign_table_ids(ensure_element_types(elements, url))
-
-    # slim first: _slim_element fills the defaults the finalize pass's
-    # synthetic elements omit (token_count, line_span, ...), so every
-    # downstream count reads the normalized form
-    slim = [_slim_element(e) for e in elements]
+        # of the finalize passes only the padding touches a row column;
+        # slimming fills the defaults its sparser elements omit
+        slim += [
+            _slim_element(e)
+            for e in ensure_element_types(slim, url)[len(slim):]
+        ]
     extracted_text = "\n\n".join(e["content"] for e in slim)
     counts = {t: 0 for t in _COUNTED_TYPES}
     for e in slim:

@@ -18,7 +18,11 @@ They are OPT-IN (``extract_document(..., finalize=True)``) rather than
 always-on: the per-url byte-identity invariant is defined against the
 raw extraction stream, and the reference applies these passes only on
 its context7 converter path — when enabled they run inside the same
-``map_batches`` UDF as the kernel, no extra stage, no shuffle.
+``map_batches`` UDF as the kernel, no extra stage, no shuffle. Of the
+three, only ``ensure_element_types`` changes an output row (of the
+fields the others set, only section_path is an ``ELEMENT_FIELDS``
+column, and every kernel element already has one), so
+``extract_document`` applies just that one, to the rows of every lane.
 """
 
 from __future__ import annotations

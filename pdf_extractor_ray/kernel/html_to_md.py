@@ -25,12 +25,15 @@ needed subset:
     extractor understands, markdown_extractor.py:373-379)
   - entities unescaped
 
-Implementation note: tokenization is a single compiled-regex pass over
-the document (tags / comments / doctype), not the stdlib HTMLParser —
-the stdlib parser walks Python-level char by char and dominated the
-extraction profile (~2/3 of per-document CPU). Raw-text elements
+Implementation note: ``html_blocks`` is the one tag walk — a single
+function whose loop makes one anchored regex match per token (the data
+run, then the tag / comment / doctype at its end), not the stdlib
+HTMLParser, which walks Python-level char by char. Raw-text elements
 (script/style/...) are skipped with a case-insensitive scan to their
-closing tag, so their content is never tokenized at all.
+closing tag, so their content is never tokenized at all. The walk emits
+typed blocks: the html lane feeds them straight to the markdown scanner
+(markdown_extract.extract_html_rows), and ``html_to_markdown`` only
+renders them.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ import re
 from html import unescape
 
 __all__ = [
+    "html_blocks",
+    "render_block",
     "html_to_markdown",
     "strip_html_tags",
     "extract_anchors",
@@ -57,7 +62,6 @@ _RAW_TEXT = ("script", "style", "template", "noscript")
 _RAW_CLOSE_RE = {
     tag: re.compile(rf"<\s*/\s*{tag}", re.I) for tag in _RAW_TEXT
 }
-_SKIP_CONTENT = {"head"}
 _BLOCK_BREAK = {"p", "div", "section", "article", "main", "body", "blockquote"}
 _VOID = {"br", "img", "hr", "meta", "link", "input", "col", "area", "base",
          "embed", "param", "source", "track", "wbr"}
@@ -125,249 +129,267 @@ def _parse_attrs(raw: str) -> dict[str, str]:
     return out
 
 
-class _Builder:
-    """Accumulates markdown blocks from tag/data events (semantics
-    identical to the previous HTMLParser-based implementation)."""
+# The walk's scanner: one anchored match per token, the data run up to
+# the next '<' and then the token there, if one matches. Groups shift
+# by one against _TOKEN_RE: 2 comment, 3 close-tag name, 4 open-tag
+# name, 5 attributes (all None for data only, or a declaration, CDATA,
+# processing instruction or unterminated comment).
+_SCAN_RE = re.compile(r"([^<]*)(?:" + _TOKEN_RE.pattern + ")?", re.S)
+_RAW = frozenset(_RAW_TEXT)
+_CELL = frozenset(("td", "th"))
+_HEADING = frozenset(("h1", "h2", "h3", "h4", "h5", "h6"))
+_MARK = {"b": "**", "strong": "**", "i": "*", "em": "*"}
 
-    __slots__ = (
-        "blocks", "_inline", "_skip_depth", "_heading_level", "_in_pre",
-        "_pre_parts", "_code_lang", "_in_li", "_in_table", "_row_cells",
-        "_table_rows", "_in_cell",
-    )
 
-    def __init__(self) -> None:
-        self.blocks: list[str] = []
-        self._inline: list[str] = []
-        self._skip_depth = 0
-        self._heading_level = 0
-        self._in_pre = False
-        self._pre_parts: list[str] = []
-        self._code_lang = ""
-        self._in_li = False
-        self._in_table = False
-        self._row_cells: list[str] = []
-        self._table_rows: list[list[str]] = []
-        self._in_cell = False
+def _inline_text(inline: list[str]) -> str:
+    """The collapsed, stripped text of an inline run, which it empties
+    (pure whitespace, the common inter-tag case, skips the regex)."""
+    joined = "".join(inline)
+    inline.clear()
+    return "" if joined.isspace() else _collapse(joined).strip()
 
-    def _flush_inline(self) -> None:
-        if not self._inline:
-            return
-        joined = "".join(self._inline)
-        self._inline.clear()
-        # Inter-tag indentation flushes are the common case: a C-level
-        # isspace check skips the regex entirely (same output — the
-        # collapse+strip of pure whitespace is "").
-        if joined.isspace():
-            return
-        text = _collapse(joined).strip()
-        if text:
-            self.blocks.append(text)
 
-    def data(self, text: str) -> None:
-        if self._skip_depth:
-            return
-        if self._in_pre:
-            self._pre_parts.append(text)
-        elif self._in_cell and self._row_cells:
-            self._row_cells[-1] += text
-        else:
-            # Leading whitespace would be stripped at flush time anyway;
-            # dropping it here keeps the buffer empty across inter-tag
-            # gaps (byte-identical output, far fewer flush scans).
-            if not self._inline and text.isspace():
-                return
-            self._inline.append(text)
+def html_blocks(html: str) -> list[tuple[str, str, object]]:
+    """The tag walk: an HTML document as its markdown blocks, in order.
 
-    def comment(self, text: str) -> None:
-        if self._skip_depth:
-            return
-        if _PAGE_COMMENT_RE.match(text):
-            self._flush_inline()
-            self.blocks.append(f"<!--{text}-->")
+    Each block is ``(kind, text, extra)``:
 
-    def start(self, tag: str, raw_attrs: str) -> None:
-        if tag in _SKIP_CONTENT:
-            self._skip_depth += 1
-            return
-        if self._skip_depth:
-            return
-        if tag in ("h1", "h2", "h3", "h4", "h5", "h6"):
-            self._flush_inline()
-            self._heading_level = int(tag[1])
-        elif tag == "pre":
-            self._flush_inline()
-            self._in_pre = True
-            self._pre_parts = []
-            self._code_lang = ""
-        elif tag == "code":
-            if self._in_pre:
-                m = _LANG_CLASS_RE.search(_parse_attrs(raw_attrs).get("class", ""))
-                if m:
-                    self._code_lang = m.group(1)
+      ``("p", text, None)``        paragraph (an inline run, collapsed)
+      ``("h", text, level)``       heading; level 0 for a ``</hN>`` that
+                                   closes no open heading
+      ``("li", text, None)``       list item
+      ``("table", md, rows)``      pipe table: its markdown and cell rows
+      ``("code", code, lang)``     ``<pre>`` body, ``language-x`` class
+      ``("img", alt, src)``        image
+      ``("page", comment, None)``  ``<!-- page: N -->`` (comment text)
+
+    :func:`render_block` gives a block's markdown. The tag dispatch
+    tests the most frequent tags first: table cells, then p, li, tr.
+    """
+    blocks: list[tuple[str, str, object]] = []
+    inline: list[str] = []  # the open paragraph / heading / item run
+    skip = 0  # <head> depth; everything inside is dropped
+    level = 0  # open heading level
+    in_pre = in_table = in_cell = False
+    pre_parts: list[str] = []
+    lang = ""
+    cells: list[str] = []  # the open table row
+    rows: list[list[str]] = []
+    scan = _SCAN_RE.match
+    pos = 0
+    n = len(html)
+    # A token's effects — the block kind its inline run becomes (fx: the
+    # heading level), a block added after it, an inline marker — apply at
+    # the top of the next turn, where a self-closing tag's implied close
+    # also comes back through the close dispatch without a scan.
+    flush = add = mark = fx = implied_close = None
+    while True:
+        if flush and inline:
+            text = _inline_text(inline)
+            if text:
+                blocks.append((flush, text, fx))
+        if add:
+            blocks.append(add)
+        if mark:
+            if in_pre:
+                pre_parts.append(mark)
+            elif in_cell and cells:
+                cells[-1] += mark
+            elif inline or mark != "\n":
+                inline.append(mark)
+        flush = add = mark = fx = None
+        if implied_close is None:
+            if pos >= n:
+                break
+            m = scan(html, pos)
+            text, comment, close, name, attrs = m.groups()
+            end = m.end()
+            lt = pos + len(text)
+            if end == lt:
+                # No token at lt. If no '>' remains anywhere, no token can
+                # ever match again (every form except the unterminated-
+                # comment branch needs one, and that branch matches on
+                # sight) — the rest is data, which keeps tag-flood inputs
+                # linear instead of retrying a long scan at every '<'.
+                gt = html.find(">", lt) if lt < n else -1
+                if gt == -1:
+                    text, pos = html[pos:], n
+                else:
+                    # Bogus-tag recovery with a bounded jump: every
+                    # remaining candidate further than the margin from the
+                    # next '>' would fail the same way (all token forms
+                    # except comments and CDATA need a '>' within their
+                    # caps), so skip them as data in one step. Comments
+                    # match on sight and CDATA sections close on ']]>'
+                    # (possibly far past gt), so never jump past a '<!--'
+                    # or a '<![CDATA[' start.
+                    jump = gt - _FAIL_JUMP_MARGIN
+                    nxt = html.find("<!--", lt + 1, gt)
+                    if nxt != -1:
+                        jump = min(jump, nxt)
+                    nxt = html.find("<![CDATA[", lt + 1, gt)
+                    if nxt != -1:
+                        jump = min(jump, nxt)
+                    jump = max(jump, lt + 1)
+                    text, pos = html[pos:jump], jump
+                name = close = comment = None
             else:
-                self.data("`")
-        elif tag in ("b", "strong"):
-            self.data("**")
-        elif tag in ("i", "em"):
-            self.data("*")
-        elif tag == "br":
-            self.data("\n")
-        elif tag in ("ul", "ol"):
-            self._flush_inline()
+                pos = end
+            if text and not skip:
+                if "&" in text:
+                    text = unescape(text)
+                if in_pre:
+                    pre_parts.append(text)
+                elif in_cell and cells:
+                    cells[-1] += text
+                elif inline or not text.isspace():
+                    # leading whitespace would be stripped at flush time
+                    # anyway; dropping it keeps the run empty across
+                    # inter-tag gaps
+                    inline.append(text)
+            if name is not None:
+                tag = name.lower()
+                if tag in _RAW:
+                    # skip raw content wholesale: find the closing tag
+                    raw_end = _RAW_CLOSE_RE[tag].search(html, pos)
+                    if raw_end is None:
+                        break
+                    gt = html.find(">", raw_end.end())
+                    pos = n if gt == -1 else gt + 1
+                elif tag == "head":
+                    skip += 1
+                elif skip:
+                    pass
+                elif tag in _CELL:
+                    if in_table:
+                        cells.append("")
+                        in_cell = True
+                elif tag == "p" or tag == "li":
+                    flush = "p"
+                elif tag == "tr":
+                    if in_table:
+                        cells = []
+                elif tag in _HEADING:
+                    flush = "p"
+                    level = int(tag[1])
+                elif tag in _MARK:
+                    mark = _MARK[tag]
+                elif tag == "br":
+                    mark = "\n"
+                elif tag == "pre":
+                    flush = "p"
+                    in_pre = True
+                    pre_parts = []
+                    lang = ""
+                elif tag == "code":
+                    if in_pre:
+                        cm = _LANG_CLASS_RE.search(
+                            _parse_attrs(attrs).get("class", "")
+                        )
+                        if cm:
+                            lang = cm.group(1)
+                    else:
+                        mark = "`"
+                elif tag == "img":
+                    a = _parse_attrs(attrs)
+                    alt = unescape(a.get("alt", "")).strip()
+                    src = unescape(a.get("src", "")).strip()
+                    # an attribute value containing '<' means the tag
+                    # swallowed mis-nested markup (e.g. src='...<script>
+                    # ...'); emitting it would resurface content a
+                    # browser never renders as text — the img is junk
+                    if "<" not in alt and "<" not in src:
+                        flush = "p"
+                        add = ("img", alt, src)
+                elif tag == "table":
+                    flush = "p"
+                    in_table = True
+                    rows = []
+                elif tag in _BLOCK_BREAK or tag == "ul" or tag == "ol":
+                    flush = "p"
+                if (
+                    attrs
+                    and attrs.rstrip().endswith("/")
+                    and tag not in _VOID
+                    and tag not in _RAW
+                ):
+                    implied_close = tag
+                continue
+            if close is None:
+                if comment is not None and not skip and _PAGE_COMMENT_RE.match(comment):
+                    flush = "p"
+                    add = ("page", comment, None)
+                continue
+            tag = close.lower()
+        else:
+            tag, implied_close = implied_close, None
+        if tag == "head":
+            skip = max(0, skip - 1)
+        elif skip:
+            pass
+        elif tag in _CELL:
+            in_cell = False
+        elif tag == "p":
+            flush = "p"
         elif tag == "li":
-            self._flush_inline()
-            self._in_li = True
-        elif tag == "img":
-            attrs = _parse_attrs(raw_attrs)
-            alt = unescape(attrs.get("alt", "")).strip()
-            src = unescape(attrs.get("src", "")).strip()
-            # an attribute value containing '<' means the tag swallowed
-            # mis-nested markup (e.g. src='...<script>...'); emitting it
-            # would resurface content a browser never renders as text —
-            # treat the whole img as junk instead
-            if "<" in alt or "<" in src:
-                return
-            self._flush_inline()
-            self.blocks.append(f"![{alt}]({src})")
-        elif tag == "table":
-            self._flush_inline()
-            self._in_table = True
-            self._table_rows = []
-        elif tag == "tr" and self._in_table:
-            self._row_cells = []
-        elif tag in ("td", "th") and self._in_table:
-            self._row_cells.append("")
-            self._in_cell = True
-        elif tag in _BLOCK_BREAK:
-            self._flush_inline()
-
-    def end(self, tag: str) -> None:
-        if tag in _SKIP_CONTENT:
-            self._skip_depth = max(0, self._skip_depth - 1)
-            return
-        if self._skip_depth:
-            return
-        if tag in ("h1", "h2", "h3", "h4", "h5", "h6"):
-            text = _collapse("".join(self._inline)).strip()
-            self._inline.clear()
-            if text:
-                self.blocks.append("#" * self._heading_level + " " + text)
-            self._heading_level = 0
+            flush = "li"
+        elif tag == "tr":
+            if in_table:
+                if cells:
+                    rows.append([_collapse(c).strip() for c in cells])
+                cells = []
+                # a </tr> with an unclosed <td> must end the cell too, or
+                # later text would index into the emptied cell list
+                in_cell = False
+        elif tag in _HEADING:
+            flush = "h"
+            fx = level
+            level = 0
+        elif tag in _MARK:
+            mark = _MARK[tag]
         elif tag == "pre":
-            self._in_pre = False
-            code = "".join(self._pre_parts).strip("\n")
-            self.blocks.append(f"```{self._code_lang}\n{code}\n```")
-            self._pre_parts = []
+            in_pre = False
+            add = ("code", "".join(pre_parts).strip("\n"), lang)
+            pre_parts = []
         elif tag == "code":
-            if not self._in_pre:
-                self.data("`")
-        elif tag in ("b", "strong"):
-            self.data("**")
-        elif tag in ("i", "em"):
-            self.data("*")
-        elif tag in ("ul", "ol"):
-            self._flush_inline()
-        elif tag == "li":
-            text = _collapse("".join(self._inline)).strip()
-            self._inline.clear()
-            if text:
-                self.blocks.append(f"- {text}")
-            self._in_li = False
-        elif tag in ("td", "th"):
-            self._in_cell = False
-        elif tag == "tr" and self._in_table:
-            if self._row_cells:
-                self._table_rows.append(
-                    [_collapse(c).strip() for c in self._row_cells]
-                )
-            self._row_cells = []
-            # a </tr> with an unclosed <td> must end the cell too, or
-            # later text would index into the emptied cell list
-            self._in_cell = False
+            if not in_pre:
+                mark = "`"
         elif tag == "table":
-            self._in_table = False
-            self._in_cell = False
-            if self._table_rows:
-                lines = ["| " + " | ".join(self._table_rows[0]) + " |"]
-                lines.append("|" + "---|" * len(self._table_rows[0]))
-                for row in self._table_rows[1:]:
-                    lines.append("| " + " | ".join(row) + " |")
-                self.blocks.append("\n".join(lines))
-            self._table_rows = []
-        elif tag in _BLOCK_BREAK:
-            self._flush_inline()
+            in_table = in_cell = False
+            if rows:
+                md = ["| " + " | ".join(r) + " |" for r in rows]
+                md.insert(1, "|" + "---|" * len(rows[0]))
+                add = ("table", "\n".join(md), rows)
+            rows = []
+        elif tag in _BLOCK_BREAK or tag == "ul" or tag == "ol":
+            flush = "p"
+    if inline:
+        text = _inline_text(inline)
+        if text:
+            blocks.append(("p", text, None))
+    return blocks
+
+
+def render_block(kind: str, text: str, extra) -> str:
+    """One :func:`html_blocks` block as markdown."""
+    if kind == "p" or kind == "table":
+        return text
+    if kind == "h":
+        return "#" * extra + " " + text
+    if kind == "li":
+        return "- " + text
+    if kind == "code":
+        return f"```{extra}\n{text}\n```"
+    if kind == "img":
+        return f"![{text}]({extra})"
+    return f"<!--{text}-->"
 
 
 def html_to_markdown(html: str) -> str:
-    """Convert an HTML document to deterministic markdown text."""
-    b = _Builder()
-    pos = 0
-    n = len(html)
-    while pos < n:
-        # C-speed skip to the next candidate, then an ANCHORED match
-        # attempt. On failure: if no '>' remains anywhere, no token can
-        # ever match again (every form except the unterminated-comment
-        # branch needs one, and that branch matches on sight) — emit
-        # the rest as data and stop, which keeps tag-flood inputs
-        # linear instead of retrying a long scan at every '<'.
-        lt = html.find("<", pos)
-        if lt == -1:
-            text = html[pos:]
-            if text:
-                b.data(unescape(text) if "&" in text else text)
-            break
-        m = _TOKEN_RE.match(html, lt)
-        if m is None:
-            gt = html.find(">", lt)
-            if gt == -1:
-                text = html[pos:]
-                if text:
-                    b.data(unescape(text) if "&" in text else text)
-                break
-            # Bogus-tag recovery with a bounded jump: every remaining
-            # candidate further than the margin from the next '>' would
-            # fail the same way (all token forms except comments and
-            # CDATA need a '>' within their caps), so skip them as data
-            # in one step. Comments match on sight and CDATA sections
-            # close on ']]>' (possibly far past gt), so never jump past
-            # a '<!--' or a '<![CDATA[' start.
-            jump = gt - _FAIL_JUMP_MARGIN
-            nxt_comment = html.find("<!--", lt + 1, gt)
-            if nxt_comment != -1:
-                jump = min(jump, nxt_comment)
-            nxt_cdata = html.find("<![CDATA[", lt + 1, gt)
-            if nxt_cdata != -1:
-                jump = min(jump, nxt_cdata)
-            jump = max(jump, lt + 1)
-            text = html[pos:jump]
-            b.data(unescape(text) if "&" in text else text)
-            pos = jump
-            continue
-        if lt > pos:
-            text = html[pos:lt]
-            b.data(unescape(text) if "&" in text else text)
-        pos = m.end()
-        comment, close_tag, open_tag, attrs = m.group(1), m.group(2), m.group(3), m.group(4)
-        if comment is not None:
-            b.comment(comment)
-        elif close_tag is not None:
-            b.end(close_tag.lower())
-        elif open_tag is not None:
-            tag = open_tag.lower()
-            if tag in _RAW_TEXT:
-                # skip raw content wholesale: find the closing tag
-                close = _RAW_CLOSE_RE[tag].search(html, pos)
-                if close is None:
-                    break
-                gt = html.find(">", close.end())
-                pos = n if gt == -1 else gt + 1
-                continue
-            self_closing = attrs.rstrip().endswith("/")
-            b.start(tag, attrs)
-            if self_closing and tag not in _VOID:
-                b.end(tag)
-    b._flush_inline()
-    return "\n\n".join(b.blocks)
+    """Convert an HTML document to deterministic markdown text: the
+    :func:`html_blocks` of the one tag walk, rendered and joined by a
+    blank line."""
+    return "\n\n".join([render_block(*b) for b in html_blocks(html)])
 
 
 def strip_html_tags(text: str) -> str:

@@ -90,7 +90,12 @@ def token_count_cl100k(text: str) -> int:
 
 
 def clean_section_title(title: str, to_ascii: bool = False) -> str:
-    """Normalize a section title; empty results become "Unnamed Section"."""
+    """Normalize a section title; empty results become "Unnamed Section".
+
+    Printable ASCII is already NFC and NFKD-stable and holds no
+    category-C character, so for it the whole chain is ``strip``."""
+    if title.isascii() and title.isprintable():
+        return title.strip() or "Unnamed Section"
     try:
         cleaned = unicodedata.normalize("NFC", title)
         cleaned = "".join(c for c in cleaned if unicodedata.category(c)[0] != "C")

@@ -1,0 +1,168 @@
+"""The one-pass html lane: tag-walk blocks fed straight into the scanner.
+
+``extract_html_rows`` must equal the composition it replaces — the
+markdown string of ``html_to_markdown``, re-split and re-scanned by
+``extract_from_markdown_text``, each envelope slimmed — which this file
+keeps as the oracle. The generated HTML leans on the blocks that cannot
+take the scanner's direct step (multi-line text, trigger-character
+starts, fence lines inside ``<pre>``, multi-line page comments, stray
+close tags), so the line path is exercised, not just the fast one.
+"""
+
+import hashlib
+import json
+
+from hypothesis import given, settings, strategies as st
+
+from pdf_extractor_ray.kernel.extract import (
+    ELEMENT_FIELDS,
+    _slim_element,
+    extract_document,
+)
+from pdf_extractor_ray.kernel.html_to_md import html_to_markdown
+from pdf_extractor_ray.kernel.markdown_extract import (
+    extract_from_markdown_text,
+    extract_html_rows,
+)
+from pdf_extractor_ray.sources.corpus import make_page_row
+
+# sha256 over the JSON of extract_document's outputs, computed with the
+# two-pass lane (markdown string + re-scan + slimmed envelopes) before
+# the one-pass lane replaced it: rows i < 400 of seeds 1 and 2 (every
+# lane, giants included), and finalize=True on their html pages.
+GOLDEN_ROWS = "9172810834421e33680ae4dc2d9df647d6808a0bec480155ad3301a11fdaac27"
+GOLDEN_FINALIZE = "624666debe7d7128c37812f78d9cf6adab4c6bdc78f2d244a55fb380b21fcc88"
+
+
+def _digest(finalize: bool, pick) -> str:
+    h = hashlib.sha256()
+    for seed in (1, 2):
+        for i in range(400):
+            if not pick(i):
+                continue
+            r = make_page_row(i, seed)
+            out = extract_document(
+                r["url"], r["warc_ts"], r["html"], r["text"], r["lang"],
+                finalize=finalize,
+            )
+            h.update(
+                json.dumps(out, sort_keys=True, ensure_ascii=False, default=str)
+                .encode()
+            )
+            h.update(b"\n")
+    return h.hexdigest()
+
+
+class TestGoldenDigest:
+    def test_every_lane(self):
+        assert _digest(False, lambda i: True) == GOLDEN_ROWS
+
+    def test_finalize_on_html_pages(self):
+        assert _digest(True, lambda i: i % 10 <= 6) == GOLDEN_FINALIZE
+
+
+def _two_pass(html: str) -> list[dict]:
+    return [
+        _slim_element(e)
+        for e in extract_from_markdown_text(html_to_markdown(html))
+    ]
+
+
+# text that starts with a scanner trigger or spans lines
+_TRICKY = st.sampled_from([
+    "# h", "#", "- a", "-", "1. b", "2) c", "| x |", "|", "> q", ">",
+    "[x]: y", "[x]: /url", "---", "===", "- - -", "***", "&lt;div&gt;",
+    "&lt;!-- page: 7 --&gt;", "```", "~~~ js", "![a](b)", "* s", "+ p",
+    "_u_", "`c`", "x<br>    y", "<br>", "<br><br>", "a\n===", "a\n---",
+    "\n\n", "    four",
+])
+_WORD = st.sampled_from(["alpha", "Beta gamma", "4.1. Numbered", "naïve", "x y"])
+_TEXT = st.lists(
+    st.one_of(_TRICKY, _WORD, _WORD.map(lambda w: f"<b>{w}</b>")),
+    min_size=1, max_size=4,
+).map(" ".join)
+_CODE = st.lists(
+    st.one_of(st.sampled_from(["```", "  ```js", "~~~", "x = 1", "", "    y"]), _WORD),
+    max_size=4,
+).map("\n".join)
+
+
+def _cell_row(cells):
+    return "<tr>" + "".join(f"<td>{c}</td>" for c in cells) + "</tr>"
+
+
+_BLOCK = st.one_of(
+    _TEXT.map(lambda t: f"<p>{t}</p>"),
+    _WORD.map(lambda w: f"<p>{w}</p>"),
+    st.tuples(_TEXT, st.sampled_from(["===", "---", "= ", "--"])).map(
+        lambda p: f"<p>{p[0]}<br>{p[1]}</p>"  # a setext underline
+    ),
+    st.tuples(st.integers(1, 6), _TEXT).map(lambda p: f"<h{p[0]}>{p[1]}</h{p[0]}>"),
+    st.lists(_TEXT, min_size=1, max_size=3).map(
+        lambda items: "<ul>" + "".join(f"<li>{t}</li>" for t in items) + "</ul>"
+    ),
+    st.lists(st.lists(_TEXT, min_size=1, max_size=3), min_size=1, max_size=3).map(
+        lambda rows: "<table>" + "".join(_cell_row(r) for r in rows) + "</table>"
+    ),
+    st.tuples(st.sampled_from(["", "python", "JS"]), _CODE).map(
+        lambda p: f'<pre><code class="language-{p[0]}">{p[1]}</code></pre>'
+        if p[0] else f"<pre>{p[1]}</pre>"
+    ),
+    st.tuples(_WORD, st.sampled_from(["f.png", "a)b", "x\ny", ""])).map(
+        lambda p: f'<img alt="{p[0]}" src="{p[1]}">'
+    ),
+    st.sampled_from([
+        "<!-- page: 2 -->", "<!--\n page: 3\n-->", "<!-- page:\n4 -->",
+        "<!-- other -->",
+    ]),
+    st.sampled_from([
+        "</p>", "</h2>", "</li>", "</pre>", "</table>", "</tr>", "</td>",
+        "<td>", "<tr>", "<h3>", "<pre>", "<li>",
+    ]),
+    _TEXT,
+)
+
+
+class TestOnePassEqualsTwoPass:
+    @settings(max_examples=400, deadline=None)
+    @given(blocks=st.lists(_BLOCK, max_size=12), sep=st.sampled_from(["", "\n"]))
+    def test_rows_equal_slimmed_envelopes(self, blocks, sep):
+        html = sep.join(blocks)
+        assert extract_html_rows(html) == _two_pass(html)
+
+    def test_row_fields_and_fixed_metadata(self):
+        html = (
+            "<h2>1.2. Tést</h2><p>para</p>"
+            "<table><tr><th>aé</th><th>\"q\"</th></tr>"
+            "<tr><td>1</td><td>2</td></tr></table>"
+            '<pre><code class="language-Py">x</code></pre>'
+            '<img alt="déjà" src="s.png">'
+        )
+        rows = extract_html_rows(html)
+        assert [r["type"] for r in rows] == [
+            "heading", "text", "table", "code", "image"
+        ]
+        assert rows == _two_pass(html)
+        for r in rows:
+            assert tuple(r) == ELEMENT_FIELDS
+
+    def test_finalize_pads_html_rows(self):
+        out = extract_document(
+            "u", None, b"<html><p>only text</p></html>", None, finalize=True
+        )
+        assert [e["type"] for e in out["elements"]] == ["text", "table"]
+        assert out["n_table"] == 1
+
+
+class TestTracedNames:
+    def test_tracer_targets_stay_bound(self):
+        # perfbench's traced run wraps these by attribute on the module
+        import pdf_extractor_ray.kernel.extract as kx
+
+        for name in (
+            "route_payload",
+            "html_to_markdown",
+            "extract_from_markdown_text",
+            "extract_pdf_document",
+        ):
+            assert callable(getattr(kx, name)), name

@@ -1,8 +1,10 @@
 """Scalar-function goldens (FIXTURES.md F5)."""
 
 import hashlib
+import unicodedata
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdf_extractor_ray.kernel.tables import calculate_iou
 from pdf_extractor_ray.kernel.textutils import (
@@ -52,6 +54,31 @@ class TestCleanSectionTitle:
 
     def test_only_control_chars(self):
         assert clean_section_title("\x00\x01") == "Unnamed Section"
+
+    @settings(max_examples=300, deadline=None)
+    @given(title=st.one_of(
+        st.text(),
+        st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126)),
+    ))
+    def test_ascii_fast_path_matches_unicode_path(self, title):
+        # the full chain: NFC, drop category C, optional NFKD ascii fold
+        def unicode_path(title, to_ascii):
+            cleaned = unicodedata.normalize("NFC", title)
+            cleaned = "".join(
+                c for c in cleaned if unicodedata.category(c)[0] != "C"
+            )
+            if to_ascii:
+                cleaned = (
+                    unicodedata.normalize("NFKD", cleaned)
+                    .encode("ascii", "ignore")
+                    .decode("ascii")
+                )
+            return cleaned.strip() or "Unnamed Section"
+
+        for to_ascii in (False, True):
+            assert clean_section_title(title, to_ascii) == unicode_path(
+                title, to_ascii
+            )
 
 
 class TestHashString:
