@@ -1,4 +1,4 @@
-"""Pure-Python per-document extraction kernel.
+"""Per-document extraction kernel (Python; numpy for the token counter).
 
 No Ray imports anywhere under ``kernel/``: these functions are the body
 of the Ray ``map_batches`` UDFs *and* the single-document oracle that

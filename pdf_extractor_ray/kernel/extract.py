@@ -27,6 +27,13 @@ llm_integration/utils/corpus_utils.py:119-165):
 
 Other lanes' envelope dicts are flattened by ``_slim_element``.
 
+Token counts: no lane counts while it builds elements. The row's
+elements are counted at the end, in one ``token_counts`` pass — or,
+with ``count_tokens=False``, not at all: ``stages.extract_stage.
+extract_batch`` passes that and counts all the rows of its batch at
+once (``count_row_tokens``), since the numpy counter's fixed cost per
+call outweighs a small document's tokens.
+
 Determinism: ``extraction_date`` is derived from ``warc_ts`` (never wall
 clock); ids are content-md5 / positional (never uuid4).
 """
@@ -44,9 +51,9 @@ from pdf_extractor_ray.kernel.markdown_extract import (
 )
 from pdf_extractor_ray.kernel.payload import route_payload
 from pdf_extractor_ray.kernel.pdfshape import extract_pdf_document
-from pdf_extractor_ray.kernel.textutils import token_count
+from pdf_extractor_ray.kernel.textutils import fill_token_counts
 
-__all__ = ["extract_document", "ELEMENT_FIELDS"]
+__all__ = ["extract_document", "count_row_tokens", "ELEMENT_FIELDS"]
 
 # The element struct the pipelines serialize (FIXTURES.md F2).
 ELEMENT_FIELDS = (
@@ -72,18 +79,12 @@ def _slim_element(element: dict[str, Any]) -> dict[str, Any]:
     shapes) serialize without special-casing."""
     content = element["content"]
     meta = element.get("metadata", {})
-    tc = element.get("token_count")
-    if tc is None:
-        # only recount when the envelope didn't carry a count —
-        # dict.get's default evaluates eagerly, which silently doubled
-        # the per-element tokenization cost (14% of kernel wall)
-        tc = token_count(content)
     return {
         "type": element["type"],
         "content": content,
         "page": element.get("page", meta.get("page", 1)),
         "line_span": list(element.get("line_span", (0, 0))),
-        "token_count": tc,
+        "token_count": element.get("token_count"),
         "section_id": element.get("section_id", ""),
         "section_path": list(element.get("section_path", ())),
         "section_hash_path": list(element.get("section_hash_path", ())),
@@ -99,6 +100,8 @@ def extract_document(
     lang: Optional[str] = None,
     merge_strategy: str = "conservative",
     finalize: bool = False,
+    *,
+    count_tokens: bool = True,
 ) -> dict[str, Any]:
     """Extract one document. Never raises: failures become status='error'.
 
@@ -108,7 +111,9 @@ def extract_document(
     context7 output-contract passes (kernel/finalize.py M15-M17:
     required-field defaulting, text/table type padding, positional
     table ids) — opt-in because the byte-identity invariant is defined
-    against the raw stream.
+    against the raw stream. ``count_tokens=False`` leaves every
+    element's ``token_count`` and the row's ``n_tokens`` None, for
+    ``count_row_tokens`` to fill over a whole batch.
     """
     extraction_date = str(warc_ts) if warc_ts is not None else ""
     kind = "empty"
@@ -131,6 +136,7 @@ def extract_document(
                 url=url,
                 extraction_date=extraction_date,
                 merge_strategy=merge_strategy,
+                count_tokens=False,
             )
         elif kind == "json":
             dumped = json.dumps(route.json_obj, indent=2, ensure_ascii=False)
@@ -142,7 +148,6 @@ def extract_document(
                     "type": "text",
                     "content": dumped,
                     "line_span": [1, dumped.count("\n") + 1],
-                    "token_count": token_count(dumped),
                     "section_id": "",
                     "section_path": [],
                     "section_hash_path": [],
@@ -154,10 +159,11 @@ def extract_document(
 
             elements[0]["section_id"] = hash_string(dumped)
         elif kind == "html":
-            slim = extract_html_rows(route.text)
+            slim = extract_html_rows(route.text, count_tokens=False)
         elif kind == "text":
             elements = extract_from_markdown_text(
-                route.text, url=url, extraction_date=extraction_date
+                route.text, url=url, extraction_date=extraction_date,
+                count_tokens=False,
             )
         # kind == "empty": zero elements, status stays ok
     except Exception as exc:  # log-and-continue: poison rows become columns
@@ -182,7 +188,7 @@ def extract_document(
         if e["type"] in counts:
             counts[e["type"]] += 1
 
-    return {
+    row = {
         "url": url,
         "warc_ts": warc_ts,
         "lang": lang or "",
@@ -197,5 +203,17 @@ def extract_document(
         "n_table": counts["table"],
         "n_code": counts["code"],
         "n_image": counts["image"],
-        "n_tokens": sum(e["token_count"] for e in slim),
+        "n_tokens": None,
     }
+    if count_tokens:
+        count_row_tokens([row])
+    return row
+
+
+def count_row_tokens(rows: list[dict[str, Any]]) -> None:
+    """Fill every element's ``token_count`` and every row's
+    ``n_tokens``, with one ``token_counts`` pass over all their
+    elements."""
+    fill_token_counts([e for r in rows for e in r["elements"]])
+    for r in rows:
+        r["n_tokens"] = sum(e["token_count"] for e in r["elements"])

@@ -46,8 +46,8 @@ from typing import Any, Optional
 from pdf_extractor_ray.kernel.html_to_md import html_blocks, render_block
 from pdf_extractor_ray.kernel.textutils import (
     clean_section_title,
+    fill_token_counts,
     hash_string,
-    token_count,
     token_count_cl100k,
 )
 
@@ -229,6 +229,8 @@ class _Scanner:
     (fenced / indented code, raw html) are modes that stay open across
     runs. :meth:`block` feeds one tag-walk block. ``rows=True`` emits
     ``ELEMENT_FIELDS`` rows (kernel/extract.py), not envelope dicts.
+    Elements leave it uncounted (``token_count`` None): the callers
+    count a whole list at once (``_count``).
     """
 
     def __init__(
@@ -245,7 +247,6 @@ class _Scanner:
         self.default_code_type = default_code_type
         self.marker_style = marker_style
         self.flush_gap = 1 if marker_style else 2
-        self.tcount = token_count_cl100k if marker_style else token_count
         self.hierarchy = SectionHierarchy()
         self.section_counts = [0] * 6
         self.page = 1
@@ -285,7 +286,7 @@ class _Scanner:
         if self.rows:  # in ELEMENT_FIELDS order
             self.out.append({
                 "type": etype, "content": content, "page": self.page,
-                "line_span": [start, end], "token_count": self.tcount(content),
+                "line_span": [start, end], "token_count": None,
                 "section_id": hash_string(content),
                 "section_path": h.get_titles(),
                 "section_hash_path": h.get_hashes(),
@@ -296,7 +297,7 @@ class _Scanner:
             "file_path": self.url, "repo_link": self.repo_link,
             "extraction_date": self.extraction_date, "type": etype,
             "content": content, "line_span": [start, end],
-            "token_count": self.tcount(content),
+            "token_count": None,
             "section_id": hash_string(content),
             "section_path": h.get_titles(),
             "section_hash_path": h.get_hashes(),
@@ -758,6 +759,17 @@ class _Scanner:
         return self.out
 
 
+def _count(
+    elements: list[dict[str, Any]], marker_style: bool = False
+) -> list[dict[str, Any]]:
+    if marker_style:
+        for e in elements:
+            e["token_count"] = token_count_cl100k(e["content"])
+    else:
+        fill_token_counts(elements)
+    return elements
+
+
 def extract_from_markdown_text(
     markdown_content: str,
     url: str = "",
@@ -768,11 +780,16 @@ def extract_from_markdown_text(
     marker_images: Optional[list[dict[str, Any]]] = None,
     default_code_type: str = "md",
     marker_style: bool = False,
+    *,
+    count_tokens: bool = True,
 ) -> list[dict[str, Any]]:
     """Extract the element stream from a markdown string.
 
     Returns a list of element dicts with the reference envelope. Pure and
     deterministic: same input -> same output, byte for byte.
+    ``count_tokens=False`` leaves every ``token_count`` None, for a
+    caller that counts many element lists in one ``token_counts`` pass
+    (``extract_document`` under ``stages.extract_stage.extract_batch``).
 
     ``marker_tables`` / ``marker_images`` are the row-local enrichment
     joins (markdown_extractor.py:460-472 / :398-413): the FIRST marker
@@ -800,19 +817,22 @@ def extract_from_markdown_text(
     )
     lines = markdown_content.split("\n")
     scanner.lines(lines, 1)
-    return scanner.finish(len(lines))
+    out = scanner.finish(len(lines))
+    return _count(out, marker_style) if count_tokens else out
 
 
-def extract_html_rows(html: str) -> list[dict[str, Any]]:
+def extract_html_rows(html: str, *, count_tokens: bool = True) -> list[dict[str, Any]]:
     """The html lane: the blocks of the one tag walk
     (``html_to_md.html_blocks``) fed straight into the scanner, as
     ``ELEMENT_FIELDS`` rows. Equal to slimming
     ``extract_from_markdown_text(html_to_markdown(html))``, without the
-    markdown string, the line split or the envelope dicts."""
+    markdown string, the line split or the envelope dicts.
+    ``count_tokens`` as in ``extract_from_markdown_text``."""
     scanner = _Scanner(rows=True)
     blocks = html_blocks(html)
     lineno = end = 1
     for k, (kind, text, extra) in enumerate(blocks, 1):
         end = scanner.block(kind, text, extra, lineno, k == len(blocks))
         lineno = end + 2
-    return scanner.finish(end)
+    out = scanner.finish(end)
+    return _count(out) if count_tokens else out

@@ -11,9 +11,15 @@ Reference semantics (behavioral spec, not code):
   - hash_string: md5 hexdigest, markdown_extractor.py:79-82.
   - token counting: the reference uses tiktoken's gpt-4 (cl100k_base)
     encoder (markdown_extractor.py:237). tiktoken is unavailable
-    offline, so token_count() is a deterministic GPT-2-style
-    pre-tokenizer regex count — stable across runs and platforms, which
-    is what the per-url byte-identity invariant needs.
+    offline, so the count is that of a deterministic GPT-2-style
+    pre-tokenizer regex, ``_TOKEN_RE`` — stable across runs and
+    platforms, which is what the per-url byte-identity invariant needs.
+    The kernel never runs that regex: ``token_counts`` reads the number
+    of its matches for a whole list of strings from one class array
+    (one kind per char, the six alternatives' boundaries all read from
+    it), so a batch of elements is counted with a few numpy calls per
+    64k chars. ``token_count`` (the regex itself) is the reference the
+    tests hold it to.
   - latin-1 decode fallback: corpus_utils.py:156-162.
   - word-set Jaccard similarity: marker_processor.py:280-300.
 """
@@ -22,12 +28,17 @@ from __future__ import annotations
 
 import hashlib
 import re
+import string
 import unicodedata
+
+import numpy as np
 
 __all__ = [
     "clean_section_title",
     "hash_string",
     "token_count",
+    "token_counts",
+    "fill_token_counts",
     "token_count_cl100k",
     "decode_bytes",
     "text_similarity",
@@ -54,15 +65,150 @@ def hash_string(text: str) -> str:
 
 
 def token_count(text: str) -> int:
-    """Deterministic token count (tiktoken stand-in; see module docstring).
-
-    ``subn`` counts matches without materializing a list of ~n match
-    strings the way ``findall`` does — on multi-hundred-KB documents
-    that list was the single largest allocation in the profile.
-    """
+    """The number of ``_TOKEN_RE`` matches in ``text``, by the regex
+    itself: the reference ``token_counts`` is held to."""
     if not text:
         return 0
     return _TOKEN_RE.subn("", text)[1]
+
+
+# Char kinds of the pattern's classes. ``\s`` is ``str.isspace``: the
+# ASCII ones below, and 19 code points beyond ASCII.
+_OTHER, _LETTER, _DIGIT, _SPACE = 0, 1, 2, 3
+_ASCII_SPACE = "\t\n\v\f\r\x1c\x1d\x1e\x1f "
+_UNICODE_SPACE = (
+    "\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007"
+    "\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
+
+
+def _kind_table() -> bytes:
+    table = bytearray(256)
+    for kind, chars in (
+        (_LETTER, string.ascii_letters),
+        (_DIGIT, string.digits),
+        (_SPACE, _ASCII_SPACE),
+    ):
+        for c in chars:
+            table[ord(c)] = kind
+    return bytes(table)
+
+
+_KIND = _kind_table()  # a bytes.translate table: ASCII byte -> kind
+_KIND_LUT = np.frombuffer(_KIND[:129], np.uint8)  # code point (128 = any non-ASCII) -> kind
+_UNICODE_SPACE_CP = np.array([ord(c) for c in _UNICODE_SPACE], np.uint32)
+# the contraction suffixes: one letter's code, or two letters' a*256+b
+_SUFFIXES = np.array(
+    [ord(c) for c in "sdmt"] + [ord(a) * 256 + ord(b) for a, b in ("ll", "ve", "re")]
+)
+_QUOTE, _BLANK = ord("'"), ord(" ")
+_WINDOW = 1 << 16
+# where a long string may be cut: no rule looks across a whitespace
+# char whose previous char is not whitespace
+_CUT_RE = re.compile(r"(?<!\s)\s")
+
+
+def _window_counts(text: str, offs: np.ndarray) -> np.ndarray:
+    """Token counts of the non-empty segments of ``text`` that start at
+    ``offs`` (ascending, ``offs[0] == 0``).
+
+    A token starts where the char kind changes; a run of one kind is one
+    token, with four corrections:
+      - a digit run splits every 3 digits;
+      - a ``' '`` before a non-space goes to the next token (-1);
+      - ``\\s+(?!\\S)`` stops one char short of a following non-space, so a
+        longer whitespace run before one is two tokens (+1);
+      - ``'`` that starts a token, followed by a letter run that is just
+        ``s d m t ll ve re``, is one token with it (-1).
+    None of them looks across a segment start."""
+    if text.isascii():
+        data = text.encode("ascii")
+        raw = np.frombuffer(data, np.uint8)
+        kind = np.frombuffer(data.translate(_KIND), np.uint8)
+    else:
+        raw = np.frombuffer(text.encode("utf-32-le"), np.uint32)
+        kind = _KIND_LUT[np.minimum(raw, 128)]
+        kind[np.isin(raw, _UNICODE_SPACE_CP)] = _SPACE
+    n = len(raw)
+    brk = np.empty(n, bool)
+    brk[0] = True
+    np.not_equal(kind[1:], kind[:-1], out=brk[1:])
+    brk[offs] = True
+    starts = np.flatnonzero(brk)  # of the runs
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:]
+    ends[-1] = n
+    length = ends - starts
+    rkind = kind[starts]
+    seg = np.searchsorted(starts, offs)  # each segment's first run
+    followed = np.ones(len(starts), bool)  # by a run of the same segment
+    followed[seg[1:] - 1] = False
+    followed[-1] = False
+
+    count = np.ones(len(starts), np.int64)
+    digits = rkind == _DIGIT
+    count[digits] += (length[digits] - 1) // 3
+    space = np.flatnonzero((rkind == _SPACE) & followed)
+    count[space] += length[space] >= 2
+    count[space] -= raw[ends[space] - 1] == _BLANK
+    # contractions: a one-char run "'" before a letter run of <= 2
+    q = np.flatnonzero((length == 1) & (rkind == _OTHER) & followed)
+    q = q[raw[starts[q]] == _QUOTE]
+    q = q[(rkind[q + 1] == _LETTER) & (length[q + 1] <= 2)]
+    if len(q):
+        q = q[(raw[starts[q] - 1] != _BLANK) | np.isin(q, seg)]  # else a ' ' took it
+        at = starts[q + 1]
+        suffix = raw[at].astype(np.int64)
+        two = length[q + 1] == 2
+        suffix[two] = suffix[two] * 256 + raw[at[two] + 1]
+        count[q[np.isin(suffix, _SUFFIXES)]] -= 1
+    return np.add.reduceat(count, seg)
+
+
+def token_counts(texts: list[str]) -> list[int]:
+    """``token_count`` of every string, exactly, with a few numpy calls
+    per ~64k chars (see ``_window_counts``). Strings are packed into
+    windows; one longer than a window is cut where no rule looks across,
+    so a window stays near 64k chars unless a string has no whitespace
+    for that long."""
+    counts = [0] * len(texts)
+    window: list[str] = []
+    owners: list[int] = []
+    size = 0
+
+    def flush() -> None:
+        offs = np.zeros(len(window), np.int64)
+        np.cumsum([len(p) for p in window[:-1]], out=offs[1:])
+        for i, c in zip(owners, _window_counts("".join(window), offs).tolist()):
+            counts[i] += c
+        window.clear()
+        owners.clear()
+
+    for i, text in enumerate(texts):
+        start = 0
+        while start < len(text):
+            end = len(text)
+            if end - start > _WINDOW:
+                cut = _CUT_RE.search(text, start + _WINDOW)
+                if cut is not None:
+                    end = cut.start()
+            if window and size + end - start > _WINDOW:
+                flush()
+                size = 0
+            window.append(text[start:end])
+            owners.append(i)
+            size += end - start
+            start = end
+    if window:
+        flush()
+    return counts
+
+
+def fill_token_counts(elements: list[dict]) -> None:
+    """Set every element's ``token_count`` from one ``token_counts``
+    pass over their contents."""
+    for e, n in zip(elements, token_counts([e["content"] for e in elements])):
+        e["token_count"] = n
 
 
 def token_count_cl100k(text: str) -> int:
@@ -75,7 +221,7 @@ def token_count_cl100k(text: str) -> int:
     2. the pinned cl100k value when the text appears in the reference
        golden fixture (kernel/cl100k_calibration.py — those pins ARE
        tiktoken outputs, so 1 and 2 agree when both apply);
-    3. the deterministic regex count.
+    3. the deterministic count (``token_counts``).
 
     Used by the marker-style extraction path whose golden is the
     reference's tiktoken-counted fixture."""
@@ -86,7 +232,7 @@ def token_count_cl100k(text: str) -> int:
     if enc is not None:
         return enc.count(text)
     pinned = cl100k_pinned_count(text)
-    return pinned if pinned is not None else token_count(text)
+    return pinned if pinned is not None else token_counts([text])[0]
 
 
 def clean_section_title(title: str, to_ascii: bool = False) -> str:

@@ -6,6 +6,10 @@ object store); one batch out = extraction rows with a typed nested
 (each document is an order-dependent fold — section numbering, table
 merging — that cannot be vectorized across documents; SURVEY.md §7.4);
 all the per-cell work inside a document is handled by the kernel.
+Token counting is the one step that runs per batch, not per document:
+the rows come back from ``extract_document`` uncounted, and one
+``count_row_tokens`` call counts the elements of all of them (the
+numpy counter's fixed cost per call is paid once per batch).
 
 ``extract_batch`` is a plain function run as stateless tasks
 (``map_batches(extract_batch, batch_size=128)``): the kernel's only
@@ -19,7 +23,7 @@ from typing import Any, Optional
 
 import pyarrow as pa
 
-from pdf_extractor_ray.kernel.extract import extract_document
+from pdf_extractor_ray.kernel.extract import count_row_tokens, extract_document
 
 __all__ = ["ELEMENT_TYPE", "EXTRACT_SCHEMA", "extract_batch"]
 
@@ -73,9 +77,10 @@ def extract_batch(
     for url, warc_ts, html, text, lang in zip(urls, ts, htmls, texts, langs):
         out = extract_document(
             url, warc_ts, html, text, lang,
-            merge_strategy=merge_strategy, finalize=finalize,
+            merge_strategy=merge_strategy, finalize=finalize, count_tokens=False,
         )
         out["payload_bytes"] = len(html) if html else 0
         rows.append(out)
+    count_row_tokens(rows)
     return pa.Table.from_pylist(rows, schema=EXTRACT_SCHEMA)
 

@@ -72,6 +72,72 @@ class TestTokenCount:
 
         assert token_count(text) == len(_TOKEN_RE.findall(text))
 
+    # pieces that reach each rule of the vectorized counter: contraction
+    # suffixes in both cases, quotes, digit runs of 1-7, ' ' before every
+    # char class, and mixed whitespace runs beyond ' '
+    _PIECE = st.one_of(
+        st.sampled_from(["'s", "'d", "'m", "'t", "'ll", "'ve", "'re",
+                         "'S", "'D", "'M", "'T", "'LL", "'Ve", "'rE",
+                         "'", "''", "'l", "'v", "'r"]),
+        st.text(alphabet="0123456789", min_size=1, max_size=7),
+        st.sampled_from([" a", " Z", " 7", " .", " '", " é", " \n", " \xa0"]),
+        st.text(alphabet=" \t\n\r\v\x1c\x85\xa0\u2028\u3000", min_size=1, max_size=4),
+        st.sampled_from(["a", "s", "d", "ll", "ve", "Re", "x", "é", ".", "!", "-", "ß", "٣"]),
+    )
+    _TEXT = st.one_of(st.lists(_PIECE, max_size=14).map("".join), st.text(max_size=48))
+
+    @staticmethod
+    def _regex(texts):
+        from pdf_extractor_ray.kernel.textutils import _TOKEN_RE
+
+        return [len(_TOKEN_RE.findall(t)) for t in texts]
+
+    @settings(max_examples=400, deadline=None)
+    @given(texts=st.lists(_TEXT, max_size=8))
+    def test_vectorized_counts_equal_regex(self, texts):
+        from pdf_extractor_ray.kernel.textutils import token_counts
+
+        assert token_counts(texts) == self._regex(texts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_TEXT, picks=st.lists(st.booleans(), max_size=64),
+           window=st.integers(1, 12))
+    def test_any_windowed_split_counts_the_whole(self, text, picks, window):
+        # a cut is allowed at a whitespace char whose previous char is
+        # not whitespace; the pieces' counts add up to the whole's, and
+        # so do the counter's own windows at any size
+        from unittest import mock
+
+        from pdf_extractor_ray.kernel import textutils
+
+        cuts = [i for i in range(1, len(text))
+                if text[i].isspace() and not text[i - 1].isspace()]
+        cuts = [c for c, keep in zip(cuts, picks) if keep]
+        pieces = [text[a:b] for a, b in zip([0] + cuts, cuts + [len(text)])]
+        whole = self._regex([text])
+        assert [sum(textutils.token_counts(pieces))] == whole
+        with mock.patch.object(textutils, "_WINDOW", window):
+            assert textutils.token_counts([text, text[::-1]]) == self._regex(
+                [text, text[::-1]]
+            )
+
+    def test_whitespace_table_is_re_whitespace(self):
+        import re
+        import sys
+
+        from pdf_extractor_ray.kernel.textutils import (
+            _ASCII_SPACE,
+            _KIND,
+            _SPACE,
+            _UNICODE_SPACE,
+        )
+
+        space = re.compile(r"\s")
+        expected = {chr(c) for c in range(sys.maxunicode + 1) if space.match(chr(c))}
+        assert set(_ASCII_SPACE + _UNICODE_SPACE) == expected
+        assert {chr(b) for b in range(128) if _KIND[b] == _SPACE} == set(_ASCII_SPACE)
+        assert _UNICODE_SPACE.isspace() and not _UNICODE_SPACE.isascii()
+
 
 def _table(page: int, n_rows: int, n_cols: int, tag: str):
     data = [[f"h{c}" for c in range(n_cols)]] + [
