@@ -136,7 +136,6 @@ def extract_document(
                 url=url,
                 extraction_date=extraction_date,
                 merge_strategy=merge_strategy,
-                count_tokens=False,
             )
         elif kind == "json":
             dumped = json.dumps(route.json_obj, indent=2, ensure_ascii=False)

@@ -365,16 +365,14 @@ def extract_pdf_document(
     extraction_date: str = "",
     merge_strategy: str = "conservative",
     min_confidence: float = LOW_CONFIDENCE_THRESHOLD,
-    *,
-    count_tokens: bool = True,
 ) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
     """Extract (elements, table_records) from a parsed pdf-shaped doc.
 
     Table records carry the rich fields (bbox, accuracy, quality,
     above/below text, merge provenance); the element stream carries the
     same tables as pipe-markdown content with the record attached in
-    ``metadata["record"]``. ``count_tokens`` as in
-    ``markdown_extract.extract_from_markdown_text``.
+    ``metadata["record"]``. The elements are not token-counted
+    (``token_count`` None): ``extract_document`` counts its rows.
     """
     # Scanned documents (no text layer) go through the OCR tier first
     # (table_extraction.py:225-229 branch): the rebuilt text layer then
@@ -515,7 +513,7 @@ def extract_pdf_document(
         url=url,
         repo_link=repo_link,
         extraction_date=extraction_date,
-        count_tokens=count_tokens,
+        count_tokens=False,
     )
 
     # Attach rich records to table elements positionally (both walks are

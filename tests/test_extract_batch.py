@@ -2,22 +2,19 @@
 
 ``extract_batch`` asks ``extract_document`` for uncounted rows and counts
 the elements of its whole batch in one ``token_counts`` pass; its rows
-must equal the per-row oracle's, counts included, on every lane. Every
-other entry point still returns counted elements.
+must equal the per-row oracle's, counts included, on every lane. The
+html and markdown entry points still return counted elements.
 """
-
-import json
 
 import pyarrow as pa
 import pytest
 
-from pdf_extractor_ray.kernel.extract import extract_document
+from pdf_extractor_ray.kernel.extract import count_row_tokens, extract_document
 from pdf_extractor_ray.kernel.html_to_md import html_to_markdown
 from pdf_extractor_ray.kernel.markdown_extract import (
     extract_from_markdown_text,
     extract_html_rows,
 )
-from pdf_extractor_ray.kernel.pdfshape import extract_pdf_document
 from pdf_extractor_ray.kernel.textutils import token_count
 from pdf_extractor_ray.sources.corpus import PAGES_SCHEMA, make_page_row
 from pdf_extractor_ray.stages.extract_stage import extract_batch
@@ -68,11 +65,9 @@ def test_batch_equals_rows(finalize):
 
 def test_entry_points_return_counted_elements():
     html = make_page_row(0, 3)["html"].decode()
-    pdf = json.loads(make_page_row(7, 3)["html"])
     for elements in (
         extract_html_rows(html),
         extract_from_markdown_text(html_to_markdown(html)),
-        extract_pdf_document(pdf)[0],
         extract_document("u", None, html.encode(), None)["elements"],
     ):
         assert elements
@@ -85,3 +80,21 @@ def test_uncounted_rows_leave_counts_to_the_caller():
     row = extract_document("u", None, html, None, count_tokens=False)
     assert row["n_tokens"] is None
     assert {e["token_count"] for e in row["elements"]} == {None}
+
+
+def test_lone_surrogate_row_is_counted():
+    # json.loads turns "\\ud800" into a lone surrogate, which the json
+    # lane keeps; counting it must not raise, on either path
+    payload = b'{"a": "\\ud800 x", "b": "it\'s"}'
+    row = extract_document("u", None, payload, None)
+    assert (row["status"], row["kind"]) == ("ok", "json")
+    [e] = row["elements"]
+    assert "\ud800" in e["content"]
+    assert e["token_count"] == token_count(e["content"]) == row["n_tokens"]
+
+    rows = [
+        extract_document("u", None, p, None, count_tokens=False)
+        for p in (payload, make_page_row(0, 3)["html"])
+    ]
+    count_row_tokens(rows)
+    assert rows[0] == row
