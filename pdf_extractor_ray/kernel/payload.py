@@ -13,6 +13,11 @@ suffixes, so routing sniffs content — the same lanes, keyed on bytes:
 
 Routing is pure and cheap (prefix sniff, no full parse except for JSON
 candidates that start with '{'/'[').
+
+A JSON ``\\ud800``-style escape without its pair parses to a lone
+surrogate, which no UTF-8 encoder (Arrow's included) accepts, so parsed
+payloads carry U+FFFD in its place, as a UTF-8 decode with
+``errors="replace"`` would.
 """
 
 from __future__ import annotations
@@ -31,6 +36,19 @@ _HTML_SNIFF_RE = re.compile(
 _HTML_TAG_RE = re.compile(
     rb"<(?:p|div|h[1-6]|table|ul|ol|span|a|br|script|title)[\s>/]", re.IGNORECASE
 )
+# a JSON escape of a UTF-16 surrogate; json.loads joins valid pairs
+_SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
+
+def _replace_surrogates(obj: Any) -> Any:
+    if isinstance(obj, str):
+        return _SURROGATE_RE.sub("\ufffd", obj)
+    if isinstance(obj, list):
+        return [_replace_surrogates(v) for v in obj]
+    if isinstance(obj, dict):
+        return {_replace_surrogates(k): _replace_surrogates(v) for k, v in obj.items()}
+    return obj
 
 
 class PayloadRoute:
@@ -55,9 +73,12 @@ def route_payload(payload: Optional[bytes]) -> PayloadRoute:
     stripped = payload.lstrip()
     if stripped[:1] in (b"{", b"["):
         try:
-            obj = json.loads(payload.decode("utf-8"))
+            text = payload.decode("utf-8")
+            obj = json.loads(text)
         except (ValueError, UnicodeDecodeError):
             obj = None
+        if obj is not None and _SURROGATE_ESCAPE_RE.search(text):
+            obj = _replace_surrogates(obj)
         if isinstance(obj, dict) and obj.get("kind") == "pdf":
             return PayloadRoute("pdf", json_obj=obj)
         if obj is not None and isinstance(obj, (dict, list)):

@@ -1,48 +1,74 @@
 """The flagship pipeline: pages parquet -> extraction rows -> parquet.
 
-Shape (SURVEY.md §3.5):
+Shape (SURVEY.md §3.5): one Ray task per parquet row group, from the
+read to the sink.
 
-    read_parquet(pages)                       # column-pruned read
-      -> map_batches(extract_batch)           # stateless tasks, batch_size=128
-      -> write_parquet + lineage sidecars     # resumable (state/lineage.py)
+    units = (file, row group) per footer      # listed by the caller
+    from_items(units)
+      -> map_batches(one unit per task):      # stateless tasks
+           iter_batches(row group, 128 rows)  #   column-pruned read
+           -> extract_batch                   #   the extraction stage
+           -> the sink                        #   a fused downstream map, or
+                                              #   write_dataset into part=N.tmp
+    caller: commit part=N + lineage sidecar   # resumable (state/lineage.py)
 
-Skew & memory design (measured on the 100k-row bench corpus, where the
-~2.5% giant documents are ~80% of the bytes):
+A ``Dataset`` source keeps ``ds.map_batches(extract_batch, batch_size)``.
 
-  - **Bounded batches.** The stage takes a modest row cap,
-    ``batch_size=128``, so a batch's *byte* size is bounded by 128x the
-    largest document. ``batch_size=None`` instead takes whole blocks,
-    which Ray has already split to ``target_max_block_size`` bytes, so
-    a run of multi-MB documents lands in a small-row batch. Either way
-    a batch's byte size is bounded. This is the single-read answer to
-    size skew; the streaming executor's backpressure does the rest.
+Design notes (measured on the 100k-row bench corpus, where the ~2.5%
+giant documents are ~80% of the bytes, and on the ``cc_mix_write``
+benchmark workload):
+
+  - **Read inside the task.** Ray does not fuse ``ReadParquet`` into a
+    ``batch_size=128`` map, so with ``read_parquet`` every input block
+    crossed the object store between a read task and an extraction
+    task, and a pass ran one execution per output partition. A unit
+    task reads its own row group, so only the unit rows (a path and an
+    index) and the task's output leave the task: ``cc_mix_write`` runs
+    2 tasks instead of 12, ``html_small`` 8 instead of 24.
+  - **Bounded batches.** The unit task streams its row group in
+    ``batch_size=128``-row batches (``ParquetFile.iter_batches``), so a
+    batch's *byte* size is bounded by 128x the largest document, and a
+    task's output goes to the sink one batch at a time.
+    ``batch_size=None`` reads the whole row group as one batch.
   - **One lane.** A two-lane split that gave the giant documents
     (``GIANT_PAYLOAD_BYTES`` and up) their own stage read the input
-    twice; on the ``cc_mix_write`` benchmark workload (1 CPU) it ran at
-    about half the docs/s of the single stage (226-231 vs 425-479).
+    twice; on ``cc_mix_write`` (1 CPU) it ran at about half the docs/s
+    of the single stage (226-231 vs 425-479).
   - **Tasks, not actors.** The kernel holds no per-worker state beyond
     module imports (compiled regexes), so stateless tasks need no pool
     sizing. A fixed actor pool of ``max(2, CPUs - 2)`` reserved its
     CPUs up front and could not be placed on a 1-CPU host: the same
     benchmark hung until its timeout on every run.
 
-Parallelism note: read parallelism is bounded by input granularity
-(files x row groups). The corpus writer emits 1024-row groups so local
-runs split well; real CC dumps have thousands of shards. Measured here:
+Parallelism note: parallelism is bounded by input granularity (files x
+row groups). The corpus writer emits 1024-row groups so local runs split
+well (bench.py's 2500-row files give 3 units each); real CC dumps have
+thousands of shards. Measured with the earlier read_parquet shape:
 extraction scales 4->16 CPUs at ~0.86 efficiency; beyond ~16 workers
 this single socket saturates on memory bandwidth (see BASELINE.md).
 """
 
 from __future__ import annotations
 
+import collections
 import functools
-from typing import Optional
+import os
+import time
+from typing import Callable, Iterator, Optional
 
+import pyarrow as pa
+import pyarrow.dataset as pads
+import pyarrow.parquet as pq
 import ray.data
 
 from pdf_extractor_ray.config import CONFIG
 from pdf_extractor_ray.kernel.tables import MERGE_STRATEGIES
-from pdf_extractor_ray.stages.extract_stage import extract_batch
+from pdf_extractor_ray.stages.extract_stage import EXTRACT_SCHEMA, extract_batch
+from pdf_extractor_ray.state.lineage import (
+    commit_partition,
+    completed_partitions,
+    prepare_partition,
+)
 
 __all__ = ["extract_pages", "run_resumable_extraction", "GIANT_PAYLOAD_BYTES"]
 
@@ -51,6 +77,113 @@ __all__ = ["extract_pages", "run_resumable_extraction", "GIANT_PAYLOAD_BYTES"]
 GIANT_PAYLOAD_BYTES = CONFIG.giant_payload_bytes
 
 _PAGE_COLUMNS = ["url", "warc_ts", "html", "text", "lang"]
+
+
+def _extract_fn(merge_strategy: str, finalize: bool = False) -> Callable[[pa.Table], pa.Table]:
+    if merge_strategy not in MERGE_STRATEGIES:
+        raise ValueError(
+            f"unknown merge_strategy {merge_strategy!r}; "
+            f"expected one of {MERGE_STRATEGIES}"
+        )
+    return functools.partial(
+        extract_batch, merge_strategy=merge_strategy, finalize=finalize
+    )
+
+
+def _parquet_files(source: "str | list[str]") -> list[str]:
+    """The files ``read_parquet`` reads for ``source``: each path is a
+    file, or a directory searched recursively, skipping names that start
+    with ``_`` or ``.`` (``_COMPLETE`` markers, ``.crc`` files). Local
+    paths are made absolute, since Ray workers do not share the
+    caller's working directory; a URI is read as one file."""
+    files = []
+    for path in [source] if isinstance(source, str) else source:
+        if "://" not in path:
+            path = os.path.abspath(path)
+        if not os.path.isdir(path):
+            files.append(path)
+            continue
+        for root, dirs, names in os.walk(path):
+            dirs[:] = sorted(d for d in dirs if not d.startswith(("_", ".")))
+            files += [
+                os.path.join(root, n)
+                for n in sorted(names)
+                if not n.startswith(("_", "."))
+            ]
+    return files
+
+
+def _row_groups(files: list[str]) -> list[tuple[str, int]]:
+    """(file, row group) for every row group, from the parquet footers."""
+    return [
+        (f, rg) for f in files for rg in range(pq.read_metadata(f).num_row_groups)
+    ]
+
+
+def _extract_unit(
+    path: str, row_group: int, extract: Callable, batch_size: Optional[int]
+) -> Iterator[pa.Table]:
+    """One row group, read in ``batch_size``-row batches (whole for
+    None), each through ``extract``."""
+    with pq.ParquetFile(path) as pf:
+        if batch_size is None:
+            batches = [pf.read_row_group(row_group, columns=_PAGE_COLUMNS)]
+        else:
+            batches = (
+                pa.Table.from_batches([rb])
+                for rb in pf.iter_batches(
+                    batch_size=batch_size, row_groups=[row_group], columns=_PAGE_COLUMNS
+                )
+            )
+        for batch in batches:
+            yield extract(batch)
+
+
+def _unit_tasks(units: list[dict], fn: Callable, **fn_kwargs) -> ray.data.Dataset:
+    """``fn`` over ``units``, one task per unit."""
+    return ray.data.from_items(units, override_num_blocks=max(1, len(units))).map_batches(
+        fn, fn_kwargs=fn_kwargs, batch_size=1, batch_format="pyarrow"
+    )
+
+
+def _extract_units(
+    units: pa.Table, extract: Callable, batch_size: Optional[int]
+) -> Iterator[pa.Table]:
+    for path, rg in zip(units["path"].to_pylist(), units["row_group"].to_pylist()):
+        yield from _extract_unit(path, rg, extract, batch_size)
+
+
+def _write_units(
+    units: pa.Table,
+    extract: Callable,
+    batch_size: Optional[int],
+    partition_cols: Optional[list],
+) -> pa.Table:
+    """Extract each unit into its partition's ``part=N.tmp`` directory;
+    one (pid, wall_s) row per unit. File names are fixed per unit, so a
+    retried task overwrites its own files."""
+    walls = []
+    for unit, path, rg, tmp_dir in zip(
+        units["unit"].to_pylist(), units["path"].to_pylist(),
+        units["row_group"].to_pylist(), units["dir"].to_pylist(),
+    ):
+        t0 = time.perf_counter()
+        batches = (
+            rb
+            for out in _extract_unit(path, rg, extract, batch_size)
+            for rb in out.to_batches()
+        )
+        pads.write_dataset(
+            pa.RecordBatchReader.from_batches(EXTRACT_SCHEMA, batches),
+            tmp_dir,
+            format="parquet",
+            basename_template=f"unit-{unit:05d}-{{i}}.parquet",
+            partitioning=partition_cols,
+            partitioning_flavor="hive",
+            existing_data_behavior="overwrite_or_ignore",
+        )
+        walls.append(time.perf_counter() - t0)
+    return pa.table({"pid": units["pid"], "wall_s": pa.array(walls, pa.float64())})
 
 
 def extract_pages(
@@ -62,23 +195,21 @@ def extract_pages(
     """Build the (lazy) extraction pipeline over a pages table.
 
     ``source`` is a parquet path/paths or an existing Dataset with the
-    pages schema. Returns the lazy extraction Dataset — consume it with
-    ``write_parquet`` / ``iter_batches`` / an aggregate. An unknown
-    ``merge_strategy`` raises ``ValueError`` before anything is read.
+    pages schema. A parquet source runs one task per row group, which
+    reads and extracts it; the footers are read here. Returns the lazy
+    extraction Dataset — consume it with ``write_parquet`` /
+    ``iter_batches`` / an aggregate, and a downstream ``map_batches``
+    fuses into the same tasks. An unknown ``merge_strategy`` raises
+    ``ValueError`` before anything is read.
     """
-    if merge_strategy not in MERGE_STRATEGIES:
-        raise ValueError(
-            f"unknown merge_strategy {merge_strategy!r}; "
-            f"expected one of {MERGE_STRATEGIES}"
-        )
+    extract = _extract_fn(merge_strategy, finalize)
     if isinstance(source, ray.data.Dataset):
-        ds = source
-    else:
-        ds = ray.data.read_parquet(source, columns=_PAGE_COLUMNS)
-    fn = functools.partial(
-        extract_batch, merge_strategy=merge_strategy, finalize=finalize
-    )
-    return ds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size)
+        return source.map_batches(extract, batch_format="pyarrow", batch_size=batch_size)
+    units = [
+        {"path": path, "row_group": rg}
+        for path, rg in _row_groups(_parquet_files(source))
+    ]
+    return _unit_tasks(units, _extract_units, extract=extract, batch_size=batch_size)
 
 
 def run_resumable_extraction(
@@ -89,32 +220,69 @@ def run_resumable_extraction(
     partition_cols: Optional[list] = None,
     **extract_kwargs,
 ) -> dict:
-    """Run the pipeline shard-by-shard with per-partition lineage.
+    """Run the pipeline over every uncommitted shard with per-partition
+    lineage.
 
     Each shard (``shard_size`` input parquet files) writes to its own
     ``part={pid}`` directory plus a ``_lineage/part-{pid}.json`` sidecar
     recording url range, row count and a url-set checksum. A rerun skips
     every shard whose sidecar already exists — resume from the last
     committed partition (north rule). See state/lineage.py.
-    """
-    from pdf_extractor_ray.state.lineage import (
-        completed_partitions,
-        write_partition_with_lineage,
-    )
 
+    The row groups of every pending shard run in one execution, one
+    task each, writing into ``part={pid}.tmp``. Partition N is committed
+    once its last task has finished and every pending partition before
+    it is committed, so a failed task leaves no committed partition at
+    or after its own. A shard whose footer cannot be read ends the
+    listing: the shards before it run and commit, then its error is
+    raised.
+    """
+    batch_size = extract_kwargs.pop("batch_size", 128)
+    extract = _extract_fn(merge_strategy, **extract_kwargs)
     done = completed_partitions(out_dir)
     shards = [
         (pid, input_files[i : i + shard_size])
         for pid, i in enumerate(range(0, len(input_files), shard_size))
     ]
-    ran, skipped = [], []
+    skipped = [pid for pid, _ in shards if pid in done]
+    pending, units, failure = [], [], None
     for pid, files in shards:
         if pid in done:
-            skipped.append(pid)
             continue
-        ds = extract_pages(files, merge_strategy=merge_strategy, **extract_kwargs)
-        write_partition_with_lineage(
-            ds, out_dir, pid, input_files=files, partition_cols=partition_cols
+        try:
+            groups = _row_groups(files)
+        except (OSError, pa.ArrowException) as exc:
+            failure = exc
+            break
+        pending.append((pid, files))
+        tmp_dir = prepare_partition(out_dir, pid)
+        units += [
+            {"pid": pid, "unit": len(units) + k, "path": path, "row_group": rg,
+             "dir": tmp_dir}
+            for k, (path, rg) in enumerate(groups)
+        ]
+
+    left = collections.Counter(u["pid"] for u in units)
+    walls: dict[int, float] = collections.defaultdict(float)
+    ran: list[int] = []
+
+    def commit_ready() -> None:
+        while len(ran) < len(pending) and not left[pending[len(ran)][0]]:
+            pid, files = pending[len(ran)]
+            commit_partition(out_dir, pid, input_files=files, wall_s=walls[pid])
+            ran.append(pid)
+
+    commit_ready()
+    if units:
+        ds = _unit_tasks(
+            units, _write_units, extract=extract, batch_size=batch_size,
+            partition_cols=partition_cols,
         )
-        ran.append(pid)
+        for batch in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
+            for pid, wall in zip(batch["pid"].to_pylist(), batch["wall_s"].to_pylist()):
+                left[pid] -= 1
+                walls[pid] += wall
+            commit_ready()
+    if failure is not None:
+        raise failure
     return {"ran": ran, "skipped": skipped, "out_dir": out_dir}

@@ -1,7 +1,8 @@
-"""The extraction map_batches stage.
+"""The extraction stage.
 
-One batch in = one ``pyarrow.Table`` of pages rows (zero-copy from the
-object store); one batch out = extraction rows with a typed nested
+One batch in = one ``pyarrow.Table`` of pages rows (read from parquet
+inside the same task, or zero-copy from the object store for a Dataset
+source); one batch out = extraction rows with a typed nested
 ``elements`` column. The per-row loop here is a loop over *documents*
 (each document is an order-dependent fold — section numbering, table
 merging — that cannot be vectorized across documents; SURVEY.md §7.4);
@@ -11,10 +12,11 @@ the rows come back from ``extract_document`` uncounted, and one
 ``count_row_tokens`` call counts the elements of all of them (the
 numpy counter's fixed cost per call is paid once per batch).
 
-``extract_batch`` is a plain function run as stateless tasks
-(``map_batches(extract_batch, batch_size=128)``): the kernel's only
-per-worker state is module imports and compiled regexes, which each
-worker process loads once.
+``extract_batch`` is a plain function run in stateless tasks: one task
+per parquet row group, fed 128-row batches (pipelines/extract_pipeline.py),
+or ``map_batches(extract_batch, batch_size=128)`` over a Dataset. The
+kernel's only per-worker state is module imports and compiled regexes,
+which each worker process loads once.
 """
 
 from __future__ import annotations

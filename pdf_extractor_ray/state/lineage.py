@@ -7,13 +7,25 @@ Layout under ``out_dir``:
     _lineage/part-00000.json     {partition_id, input_files, url_min,
                                   url_max, row_count, url_sha256, wall_s}
 
-Commit protocol: data is written into ``part=N.tmp`` first, the sidecar
-is computed from the *written* files (cheap single-column re-read of
-``url``), the directory is atomically renamed to ``part=N`` and only
-then the sidecar lands. A crash mid-partition therefore leaves either a
+Commit protocol, in two steps:
+
+  - ``prepare_partition`` removes what an earlier run left of partition
+    N without committing it (a ``part=N.tmp`` directory, or a ``part=N``
+    with no sidecar) and makes an empty ``part=N.tmp``. Rows are written
+    there, by any number of tasks: ``run_resumable_extraction``'s unit
+    tasks each write their own files into it, while it runs.
+  - ``commit_partition`` runs in the calling process once every writer of
+    partition N has finished. It computes the sidecar from the *written*
+    files (cheap single-column re-read of ``url``), atomically renames
+    the directory to ``part=N`` and only then lands the sidecar.
+
+``write_partition_with_lineage`` is both steps around one
+``ds.write_parquet``. A crash mid-partition therefore leaves either a
 ``.tmp`` directory (ignored and overwritten on rerun) or a fully
 committed partition — never duplicates, never gaps
-(SURVEY.md §4.2 "Resumable output").
+(SURVEY.md §4.2 "Resumable output"). ``wall_s`` is the seconds spent
+writing the partition: the ``write_parquet`` call, or the sum of the
+unit tasks' walls.
 """
 
 from __future__ import annotations
@@ -25,9 +37,11 @@ import shutil
 import time
 
 __all__ = [
+    "commit_partition",
     "completed_partitions",
-    "write_partition_with_lineage",
+    "prepare_partition",
     "read_lineage",
+    "write_partition_with_lineage",
 ]
 
 
@@ -54,40 +68,43 @@ def completed_partitions(out_dir: str) -> set[int]:
     return done
 
 
-def write_partition_with_lineage(
-    ds,
+def _part_dir(out_dir: str, pid: int) -> str:
+    return os.path.join(out_dir, f"part={pid:05d}")
+
+
+def _tmp_dir(out_dir: str, pid: int) -> str:
+    return _part_dir(out_dir, pid) + ".tmp"
+
+
+def prepare_partition(out_dir: str, pid: int) -> str:
+    """Drop partition ``pid``'s uncommitted leftovers and return its
+    empty ``part=N.tmp`` directory."""
+    part_dir = _part_dir(out_dir, pid)
+    tmp_dir = _tmp_dir(out_dir, pid)
+    for d in (tmp_dir, part_dir):  # part_dir without a sidecar is a leftover
+        if os.path.isdir(d):
+            shutil.rmtree(d)
+    os.makedirs(tmp_dir)
+    os.makedirs(_lineage_dir(out_dir), exist_ok=True)
+    return tmp_dir
+
+
+def commit_partition(
     out_dir: str,
     pid: int,
     input_files: list[str] | None = None,
-    partition_cols: list[str] | None = None,
+    wall_s: float = 0.0,
 ) -> dict:
-    """Consume ``ds`` into partition ``pid`` with the commit protocol.
-
-    ``partition_cols`` additionally hive-partitions the parquet INSIDE
-    the shard directory (e.g. ``part=00000/lang=en/...``) — keyed
-    layout for downstream readers without touching the resume unit.
-    """
+    """Commit the rows written into ``part=N.tmp``: sidecar facts from
+    the written files, atomic rename to ``part=N``, sidecar last."""
+    import pyarrow as pa
     import pyarrow.dataset as pads
 
-    part_dir = os.path.join(out_dir, f"part={pid:05d}")
-    tmp_dir = part_dir + ".tmp"
-    if os.path.isdir(tmp_dir):
-        shutil.rmtree(tmp_dir)
-    if os.path.isdir(part_dir):
-        shutil.rmtree(part_dir)  # uncommitted leftover (no sidecar)
-    os.makedirs(_lineage_dir(out_dir), exist_ok=True)
-
-    t0 = time.monotonic()
-    if partition_cols:
-        ds.write_parquet(tmp_dir, partition_cols=partition_cols)
-    else:
-        ds.write_parquet(tmp_dir)
-    wall_s = time.monotonic() - t0
-
-    # Sidecar facts come from the files actually written (single narrow
-    # column re-read; never re-executes the pipeline).
+    tmp_dir = _tmp_dir(out_dir, pid)
+    # single narrow column re-read; never re-executes the pipeline. The
+    # explicit schema lets a partition with no rows commit too.
     urls = (
-        pads.dataset(tmp_dir, format="parquet")
+        pads.dataset(tmp_dir, format="parquet", schema=pa.schema([("url", pa.string())]))
         .to_table(columns=["url"])
         .column("url")
         .to_pylist()
@@ -95,7 +112,7 @@ def write_partition_with_lineage(
     urls_sorted = sorted(urls)
     digest = hashlib.sha256("\n".join(urls_sorted).encode()).hexdigest()
 
-    os.replace(tmp_dir, part_dir)
+    os.replace(tmp_dir, _part_dir(out_dir, pid))
     sidecar = {
         "partition_id": pid,
         "input_files": input_files or [],
@@ -110,6 +127,25 @@ def write_partition_with_lineage(
         json.dump(sidecar, f, indent=1)
     os.replace(tmp_sidecar, _sidecar_path(out_dir, pid))
     return sidecar
+
+
+def write_partition_with_lineage(
+    ds,
+    out_dir: str,
+    pid: int,
+    input_files: list[str] | None = None,
+    partition_cols: list[str] | None = None,
+) -> dict:
+    """Consume ``ds`` into partition ``pid`` with the commit protocol.
+
+    ``partition_cols`` additionally hive-partitions the parquet INSIDE
+    the shard directory (e.g. ``part=00000/lang=en/...``) — keyed
+    layout for downstream readers without touching the resume unit.
+    """
+    tmp_dir = prepare_partition(out_dir, pid)
+    t0 = time.monotonic()
+    ds.write_parquet(tmp_dir, partition_cols=partition_cols)
+    return commit_partition(out_dir, pid, input_files, time.monotonic() - t0)
 
 
 def read_lineage(out_dir: str) -> list[dict]:

@@ -8,6 +8,7 @@ html and markdown entry points still return counted elements.
 
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdf_extractor_ray.kernel.extract import count_row_tokens, extract_document
 from pdf_extractor_ray.kernel.html_to_md import html_to_markdown
@@ -27,6 +28,7 @@ def _pages() -> list[dict]:
     extra = [
         b'{"a": [1, 2], "b": "it\'s 1234567 \\u00e9"}',  # json lane
         b'{"kind": "pdf", "pages": 5}',  # poison: the pdf lane raises
+        b'{"a": "\\ud800 x"}',  # a lone surrogate escape
         None,
     ]
     for k, html in enumerate(extra):
@@ -83,13 +85,13 @@ def test_uncounted_rows_leave_counts_to_the_caller():
 
 
 def test_lone_surrogate_row_is_counted():
-    # json.loads turns "\\ud800" into a lone surrogate, which the json
-    # lane keeps; counting it must not raise, on either path
+    # json.loads turns "\\ud800" into a lone surrogate; routing replaces
+    # it with U+FFFD, and the row counts alike on either path
     payload = b'{"a": "\\ud800 x", "b": "it\'s"}'
     row = extract_document("u", None, payload, None)
     assert (row["status"], row["kind"]) == ("ok", "json")
     [e] = row["elements"]
-    assert "\ud800" in e["content"]
+    assert "\ufffd x" in e["content"] and "\ud800" not in e["content"]
     assert e["token_count"] == token_count(e["content"]) == row["n_tokens"]
 
     rows = [
@@ -98,3 +100,35 @@ def test_lone_surrogate_row_is_counted():
     ]
     count_row_tokens(rows)
     assert rows[0] == row
+
+
+# JSON string bodies: plain characters mixed with \\uXXXX escapes, lone
+# surrogates (D800-DFFF) included
+_JSON_CHARS = st.characters(blacklist_characters='"\\', blacklist_categories=("Cc", "Cs"))
+_JSON_STRING = st.lists(
+    st.one_of(st.text(_JSON_CHARS, max_size=4),
+              st.integers(0, 0xFFFF).map("\\u{:04x}".format),
+              st.integers(0xD800, 0xDFFF).map("\\u{:04X}".format)),
+    max_size=6,
+).map(lambda parts: '"' + "".join(parts) + '"')
+_JSON_VALUE = st.one_of(_JSON_STRING, st.integers().map(str), st.just("null"),
+                        st.lists(_JSON_STRING, max_size=3).map(lambda v: "[" + ",".join(v) + "]"))
+_PAYLOADS = st.one_of(
+    st.tuples(_JSON_STRING, _JSON_VALUE).map(lambda kv: "{%s: %s}" % kv),
+    # pdf-shaped records whose fields have the wrong types
+    st.tuples(st.sampled_from(["pages", "title", "blocks"]), _JSON_VALUE)
+    .map(lambda kv: '{"kind": "pdf", "%s": %s}' % kv),
+    st.integers(1, 3000).map(lambda n: "[" * n + "]" * n),
+).map(str.encode) | st.binary(max_size=64) | st.binary(max_size=16).map(
+    lambda b: b"<p>a\x00" + b + b"\xff</p>"
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_PAYLOADS, min_size=1, max_size=5))
+def test_any_payload_batch_equals_rows(payloads):
+    rows = [
+        {**make_page_row(k, 3), "html": p, "text": ""} for k, p in enumerate(payloads)
+    ]
+    got = extract_batch(pa.Table.from_pylist(rows, schema=PAGES_SCHEMA)).to_pylist()
+    assert got == _expected(rows, False)
