@@ -1,9 +1,6 @@
-"""Fallback structured-text parsing kernel (SURVEY.md M7-M9).
+"""Metadata extraction kernel (SURVEY.md M9).
 
 Behavioral spec: /root/reference/src/mcp_doc_retriever/context7/pdf_extractor/parsers.py
-  - parse_structured_text (:39-117): line-oriented block splitter —
-    ``#{1,6}`` headings, ``` fences as zero-content markers, blank-line
-    paragraph splits, optional block filter callback
   - extract_metadata (:154-189): regex Key: Value pairs plus
     Title/Author/Date patterns
 """
@@ -11,64 +8,13 @@ Behavioral spec: /root/reference/src/mcp_doc_retriever/context7/pdf_extractor/pa
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, Optional
 
-__all__ = ["parse_structured_text", "extract_metadata"]
+__all__ = ["extract_metadata"]
 
-_HEADING_RE = re.compile(r"^(#{1,6})\s+(.+)$")
 _KV_RE = re.compile(r"^([A-Za-z0-9_\- ]+):\s*(.+)$", re.MULTILINE)
 _TITLE_RE = re.compile(r"^(?:Title|#)\s*[:.\s]*\s*(.+)$", re.MULTILINE)
 _AUTHOR_RE = re.compile(r"^(?:Author|By)\s*[:.\s]*\s*(.+)$", re.MULTILINE)
 _DATE_RE = re.compile(r"^(?:Date|Published)\s*[:.\s]*\s*(.+)$", re.MULTILINE)
-
-
-def parse_structured_text(
-    text: str,
-    filter_func: Optional[Callable[[dict[str, Any]], bool]] = None,
-) -> list[dict[str, Any]]:
-    """Split text into {type, content, metadata} blocks."""
-    if not text:
-        return []
-    blocks: list[dict[str, Any]] = []
-    current = {"type": "paragraph", "content": "", "metadata": {}}
-    for line in text.split("\n"):
-        heading = _HEADING_RE.match(line)
-        if heading:
-            if current["content"]:
-                blocks.append(current)
-            blocks.append(
-                {
-                    "type": "heading",
-                    "content": heading.group(2).strip(),
-                    "metadata": {"level": len(heading.group(1))},
-                }
-            )
-            current = {"type": "paragraph", "content": "", "metadata": {}}
-            continue
-        if line.startswith("```"):
-            if current["content"]:
-                blocks.append(current)
-            blocks.append(
-                {
-                    "type": "code",
-                    "content": "",
-                    "metadata": {"language": line[3:].strip()},
-                }
-            )
-            current = {"type": "paragraph", "content": "", "metadata": {}}
-            continue
-        if not line.strip() and current["content"]:
-            blocks.append(current)
-            current = {"type": "paragraph", "content": "", "metadata": {}}
-            continue
-        if current["content"]:
-            current["content"] += "\n"
-        current["content"] += line
-    if current["content"]:
-        blocks.append(current)
-    if filter_func:
-        blocks = [b for b in blocks if filter_func(b)]
-    return blocks
 
 
 def extract_metadata(text: str) -> dict[str, str]:

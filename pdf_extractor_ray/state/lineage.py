@@ -13,11 +13,13 @@ Commit protocol, in two steps:
     N without committing it (a ``part=N.tmp`` directory, or a ``part=N``
     with no sidecar) and makes an empty ``part=N.tmp``. Rows are written
     there, by any number of tasks: ``run_resumable_extraction``'s unit
-    tasks each write their own files into it, while it runs.
+    tasks, plain Ray tasks, each write their own files into it.
   - ``commit_partition`` runs in the calling process once every writer of
     partition N has finished. It computes the sidecar from the *written*
     files (cheap single-column re-read of ``url``), atomically renames
-    the directory to ``part=N`` and only then lands the sidecar.
+    the directory to ``part=N`` and only then lands the sidecar. When a unit
+    task fails, ``run_resumable_extraction`` ends every other one before
+    raising, so no ``part=N.tmp`` changes after it has returned.
 
 ``write_partition_with_lineage`` is both steps around one
 ``ds.write_parquet``. A crash mid-partition therefore leaves either a
