@@ -4,9 +4,14 @@ Behavioral spec: /root/reference/src/pdf_extractor/markdown_extractor.py:200-642
 (`extract_from_markdown`). Re-implemented from scratch as a line-based
 block scanner (markdown-it is unavailable offline; the reference used its
 token stream only as a block segmenter). The scanner is one state
-machine with two feeds: the lines of a markdown string (text and pdf
-lanes), or the tag walk's blocks one at a time, as final element rows
-(html lane, ``extract_html_rows``). Semantics kept:
+machine with two feeds: the lines of a markdown string, or typed blocks
+one at a time. Every lane of ``extract.extract_document`` takes its
+element rows from it: the text lane feeds lines
+(``extract_text_rows``), the html lane the tag walk's blocks
+(``extract_html_rows``), and the pdf lane its page walk's blocks
+(``pdfshape.extract_pdf_document``). ``extract_from_markdown_text``
+feeds lines and keeps the reference's envelope dicts, for the marker
+path and its options. Semantics kept:
 
   - text blocks: consecutive paragraphs / list items accumulate into ONE
     text element; a gap of >= 2 blank lines flushes (the reference's
@@ -56,6 +61,7 @@ __all__ = [
     "parse_markdown_table",
     "parse_markdown_image",
     "extract_from_markdown_text",
+    "extract_text_rows",
     "extract_html_rows",
 ]
 
@@ -320,9 +326,11 @@ class _Scanner:
         from when no cell holds a '|' or a newline, gives its parse."""
         if grid is None:
             table_data = parse_markdown_table(content)
-        else:  # the parser drops empty header cells and ragged rows
-            headers = [c for c in grid[0] if c]
-            rows = [r for r in grid[1:] if len(r) == len(headers)]
+        else:  # the parser strips cells, drops empty headers and ragged rows
+            headers = [h for h in map(str.strip, grid[0]) if h]
+            rows = [
+                [c.strip() for c in r] for r in grid[1:] if len(r) == len(headers)
+            ]
             table_data = {"headers": headers, "rows": rows} if headers else None
         if table_data is None:
             return
@@ -699,11 +707,12 @@ class _Scanner:
 
         A canonical block takes one direct step, with the state changes
         its rendered lines would make: a one-line paragraph or list item
-        whose first character is no ``_TRIGGER``; a heading, image or
-        page marker with no newline in its text; a table with no newline
-        or '|' in a cell; a code block with no fence-marker line. Any
-        other block, and every block while a code block is open, goes
-        through :meth:`lines` as its rendered lines.
+        whose first character is no ``_TRIGGER``; a non-empty heading of
+        level 1-6, an image or a page marker with no newline in its
+        text; a table with no newline or '|' in a cell; a code block
+        with no fence-marker line. Any other block, and every block
+        while a multi-line block is open, goes through :meth:`lines` as
+        its rendered lines. Text is stripped, as the tag walk's is.
         """
         if self.mode is None:
             if kind == "p" or kind == "li":
@@ -717,7 +726,7 @@ class _Scanner:
             elif kind == "img":
                 canonical = "\n" not in text and "\n" not in extra
             elif kind == "h":
-                canonical = extra > 0 and "\n" not in text
+                canonical = 0 < extra <= 6 and text and "\n" not in text
             else:
                 canonical = "\n" not in text
             if canonical:
@@ -819,6 +828,16 @@ def extract_from_markdown_text(
     scanner.lines(lines, 1)
     out = scanner.finish(len(lines))
     return _count(out, marker_style) if count_tokens else out
+
+
+def extract_text_rows(markdown: str) -> list[dict[str, Any]]:
+    """The text lane: the lines of ``markdown`` scanned as
+    ``ELEMENT_FIELDS`` rows, uncounted. Equal to slimming
+    ``extract_from_markdown_text(markdown)``'s envelopes."""
+    scanner = _Scanner(rows=True)
+    lines = markdown.split("\n")
+    scanner.lines(lines, 1)
+    return scanner.finish(len(lines))
 
 
 def extract_html_rows(html: str, *, count_tokens: bool = True) -> list[dict[str, Any]]:

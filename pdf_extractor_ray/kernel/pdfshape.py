@@ -23,10 +23,11 @@ implements the reference's layout-processing semantics over that shape:
   - multi-page table merge fold (improved_table_merger semantics, see
     kernel/tables.py)
 
-The kernel renders the page stream to markdown (with ``<!-- page: N -->``
-markers) and reuses ``extract_from_markdown_text`` so every lane emits
-the same element envelope; rich table records are then attached to the
-table elements positionally.
+The page walk feeds its blocks (page markers, headings, paragraphs,
+images and tables with their cell rows) into the markdown scanner, as
+the html lane feeds the tag walk's, so every lane emits the same
+element rows; a table's rich record goes into the metadata of the rows
+its own block emits.
 """
 
 from __future__ import annotations
@@ -34,14 +35,13 @@ from __future__ import annotations
 import json
 from typing import Any, Optional
 
-from pdf_extractor_ray.kernel.markdown_extract import extract_from_markdown_text
+from pdf_extractor_ray.kernel.markdown_extract import _Scanner
 from pdf_extractor_ray.kernel.tables import (
     parse_table_data,
     process_and_merge_tables,
 )
 
 __all__ = [
-    "parse_pdf_shaped",
     "extract_pdf_document",
     "table_quality",
     "is_scanned_pdf",
@@ -345,34 +345,17 @@ def _nearest_text(
     return best[1] if best else ""
 
 
-def parse_pdf_shaped(payload: str | bytes) -> Optional[dict[str, Any]]:
-    """Parse a pdf-shaped JSON payload; None when it isn't one."""
-    try:
-        if isinstance(payload, bytes):
-            payload = payload.decode("utf-8")
-        doc = json.loads(payload)
-    except (ValueError, UnicodeDecodeError):
-        return None
-    if not isinstance(doc, dict) or doc.get("kind") != "pdf":
-        return None
-    return doc
-
-
 def extract_pdf_document(
-    doc: dict[str, Any],
-    url: str = "",
-    repo_link: str = "",
-    extraction_date: str = "",
-    merge_strategy: str = "conservative",
-    min_confidence: float = LOW_CONFIDENCE_THRESHOLD,
+    doc: dict[str, Any], merge_strategy: str = "conservative"
 ) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
-    """Extract (elements, table_records) from a parsed pdf-shaped doc.
+    """Extract (element rows, table_records) from a parsed pdf-shaped doc.
 
     Table records carry the rich fields (bbox, accuracy, quality,
-    above/below text, merge provenance); the element stream carries the
-    same tables as pipe-markdown content with the record attached in
-    ``metadata["record"]``. The elements are not token-counted
-    (``token_count`` None): ``extract_document`` counts its rows.
+    above/below text, merge provenance); the element rows
+    (``extract.ELEMENT_FIELDS``) carry the same tables as pipe-markdown
+    content with the record in ``metadata_json["record"]``. The rows
+    are not token-counted (``token_count`` None): ``extract_document``
+    counts them.
     """
     # Scanned documents (no text layer) go through the OCR tier first
     # (table_extraction.py:225-229 branch): the rebuilt text layer then
@@ -380,16 +363,16 @@ def extract_pdf_document(
     if is_scanned_pdf(doc):
         doc = ocr_preprocess(doc)
 
-    pages = doc.get("pages") or []
     table_records: list[dict[str, Any]] = []
-    page_blocks: dict[int, list[dict[str, Any]]] = {}
+    # (page number, blocks in reading order, table id by block index)
+    pages: list[tuple[int, list[dict[str, Any]], dict[int, str]]] = []
 
-    for page in pages:
+    for page in doc.get("pages") or []:
         page_no = int(page.get("page_number", 1))
         blocks = _reading_order(page.get("blocks") or [])
-        page_blocks[page_no] = blocks
-        t_idx = 0
-        for block in blocks:
+        table_ids: dict[int, str] = {}
+        pages.append((page_no, blocks, table_ids))
+        for k, block in enumerate(blocks):
             if block.get("type") != "table":
                 continue
             grid = _cells_to_grid(block.get("cells") or [])
@@ -414,7 +397,7 @@ def extract_pdf_document(
             quality = table_quality(grid, accuracy)
             bbox = [float(v) for v in (block.get("bbox") or [0, 0, 0, 0])]
             record = {
-                "id": f"table_{page_no}_{t_idx}",
+                "id": f"table_{page_no}_{len(table_ids)}",
                 "page": page_no,
                 "data": grid,
                 "accuracy": accuracy,
@@ -427,7 +410,7 @@ def extract_pdf_document(
                 "above_text": _nearest_text(blocks, bbox, above=True),
                 "below_text": _nearest_text(blocks, bbox, above=False),
             }
-            if quality["confidence"] < min_confidence:
+            if quality["confidence"] < LOW_CONFIDENCE_THRESHOLD:
                 record["quality_issues"].append(
                     f"low_confidence:{quality['confidence']}"
                 )
@@ -453,7 +436,7 @@ def extract_pdf_document(
                     record["quality_issues"].append(
                         "No intersecting table with detector results"
                     )
-            t_idx += 1
+            table_ids[k] = record["id"]
             table_records.append(record)
 
     # Drop low-confidence tables (the reference's drop is ONLY the
@@ -467,62 +450,13 @@ def extract_pdf_document(
     ]
     merged = process_and_merge_tables(kept, merge_strategy)
 
-    # Render pages to markdown in reading order; merged continuation
-    # tables render once, at their anchor position.
-    anchor_ids = {t["id"] for t in merged}
-    merged_by_id = {t["id"]: t for t in merged}
-    md_lines: list[str] = []
-    for page in pages:
-        page_no = int(page.get("page_number", 1))
-        md_lines.append(f"<!-- page: {page_no} -->")
-        t_idx = 0
-        for block in _reading_order(page.get("blocks") or []):
-            btype = block.get("type")
-            if btype == "heading":
-                level = int(block.get("level", 1))
-                md_lines.append("#" * level + " " + str(block.get("text", "")).strip())
-            elif btype == "text":
-                text = " ".join(
-                    s.get("text", "") for s in block.get("spans") or []
-                ).strip()
-                if text:
-                    md_lines.append(text)
-            elif btype == "image":
-                alt = str(block.get("alt", "")).strip()
-                src = str(block.get("src", "")).strip()
-                md_lines.append(f"![{alt}]({src})")
-            elif btype == "table":
-                tid = f"table_{page_no}_{t_idx}"
-                t_idx += 1
-                rec = merged_by_id.get(tid)
-                if tid not in anchor_ids or rec is None:
-                    continue  # dropped or merged into an earlier anchor
-                grid = rec["data"]
-                if not grid:
-                    continue
-                lines = ["| " + " | ".join(grid[0]) + " |"]
-                lines.append("|" + "---|" * len(grid[0]))
-                for row in grid[1:]:
-                    lines.append("| " + " | ".join(row) + " |")
-                md_lines.append("\n".join(lines))
-        md_lines.append("")  # page break -> double blank line flushes text
+    return _page_rows(pages, {t["id"]: t for t in merged}), merged
 
-    markdown = "\n\n".join(md_lines)
-    elements = extract_from_markdown_text(
-        markdown,
-        url=url,
-        repo_link=repo_link,
-        extraction_date=extraction_date,
-        count_tokens=False,
-    )
 
-    # Attach rich records to table elements positionally (both walks are
-    # page-then-reading-order, so the i-th table element is the i-th
-    # surviving anchor record).
-    anchors = [t for t in merged]
-    table_elements = [e for e in elements if e["type"] == "table"]
-    for element, record in zip(table_elements, anchors):
-        element["metadata"]["record"] = {
+def _record_json(record: dict[str, Any]) -> str:
+    """The part of a table record its element rows carry, as JSON."""
+    return json.dumps(
+        {
             "id": record["id"],
             "page": record["page"],
             "bbox": record["bbox"],
@@ -535,5 +469,67 @@ def extract_pdf_document(
             "above_text": record["above_text"],
             "below_text": record["below_text"],
             "parsed": parse_table_data(record["data"]),
-        }
-    return elements, merged
+        },
+        sort_keys=True,
+        ensure_ascii=False,
+    )
+
+
+def _page_rows(
+    pages: list[tuple[int, list[dict[str, Any]], dict[int, str]]],
+    merged_by_id: dict[str, dict[str, Any]],
+) -> list[dict[str, Any]]:
+    """The element rows of the pages, in reading order.
+
+    Each page is a page marker, its blocks and an empty line, one blank
+    line apart, as markdown would lay them out, so a page end is a gap
+    of three lines and flushes text. A table renders once, at the block
+    of its anchor record; a dropped table, or a continuation merged into
+    an earlier anchor, renders nothing.
+    """
+    scanner = _Scanner(rows=True)
+    out = scanner.out
+    lineno = end = 1
+    for n_page, (page_no, blocks, table_ids) in enumerate(pages, 1):
+        scanner.lines([f"<!-- page: {page_no} -->", ""], lineno)
+        lineno += 2
+        for k, block in enumerate(blocks):
+            btype = block.get("type")
+            record = None
+            if btype == "heading":
+                level = int(block.get("level", 1))
+                item = ("h", str(block.get("text", "")).strip(), level)
+            elif btype == "text":
+                text = " ".join(
+                    s.get("text", "") for s in block.get("spans") or []
+                ).strip()
+                if not text:
+                    continue
+                item = ("p", text, None)
+            elif btype == "image":
+                alt = str(block.get("alt", "")).strip()
+                item = ("img", alt, str(block.get("src", "")).strip())
+            elif btype == "table":
+                record = merged_by_id.get(table_ids.get(k))
+                if record is None:
+                    continue
+                grid = record["data"]
+                md = ["| " + " | ".join(row) + " |" for row in grid]
+                md.insert(1, "|" + "---|" * len(grid[0]))
+                item = ("table", "\n".join(md), grid)
+            else:
+                continue
+            n = len(out)
+            lineno = scanner.block(*item, lineno, False) + 2
+            if record is not None:
+                # every table row this block emitted: its metadata
+                # gains the record (sort_keys order puts it first)
+                for row in out[n:]:
+                    if row["type"] == "table":
+                        row["metadata_json"] = (
+                            '{"record": ' + _record_json(record) + ", "
+                            + row["metadata_json"][1:]
+                        )
+        scanner.lines(["", ""] if n_page < len(pages) else [""], lineno)
+        end, lineno = lineno, lineno + 2
+    return scanner.finish(end)

@@ -14,11 +14,7 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
-from pdf_extractor_ray.kernel.extract import (
-    ELEMENT_FIELDS,
-    _slim_element,
-    extract_document,
-)
+from pdf_extractor_ray.kernel.extract import ELEMENT_FIELDS, extract_document
 from pdf_extractor_ray.kernel.html_to_md import html_to_markdown
 from pdf_extractor_ray.kernel.markdown_extract import (
     extract_from_markdown_text,
@@ -27,29 +23,44 @@ from pdf_extractor_ray.kernel.markdown_extract import (
 from pdf_extractor_ray.sources.corpus import make_page_row
 
 # sha256 over the JSON of extract_document's outputs, computed with the
-# two-pass lane (markdown string + re-scan + slimmed envelopes) before
-# the one-pass lane replaced it: rows i < 400 of seeds 1 and 2 (every
-# lane, giants included), and finalize=True on their html pages.
+# two-pass lanes (markdown string + re-scan + slimmed envelopes) before
+# the one-pass lanes replaced them: rows i < 400 of seeds 1 and 2 (every
+# lane, giants included); finalize=True on their html pages; and
+# finalize=True on their pdf, text, empty and giant rows plus
+# _EXTRA_PAYLOADS.
 GOLDEN_ROWS = "9172810834421e33680ae4dc2d9df647d6808a0bec480155ad3301a11fdaac27"
 GOLDEN_FINALIZE = "624666debe7d7128c37812f78d9cf6adab4c6bdc78f2d244a55fb380b21fcc88"
+GOLDEN_FINALIZE_LANES = (
+    "08d225faf55d61def69a1f30d8339c3231e5774fa629f44834703281a926c1d1"
+)
+
+# the json lane, which the corpus never routes to, a pdf doc with no
+# pages and a markdown text payload
+_EXTRA_PAYLOADS = [
+    b'{"a": 1, "b": [1, 2, {"c": "d\\u00e9"}]}',
+    b'[1, "two", null, {"x": "\\ud800 y"}]',
+    b'{"kind": "pdf", "pages": []}',
+    b"# Title\n\ntext\n\n| a | b |\n|---|---|\n| 1 | 2 |\n",
+]
 
 
-def _digest(finalize: bool, pick) -> str:
+def _digest(finalize: bool, pick, extra=()) -> str:
+    rows = [make_page_row(i, seed) for seed in (1, 2) for i in range(400) if pick(i)]
+    rows += [
+        {"url": f"u/{k}", "warc_ts": None, "html": p, "text": None, "lang": None}
+        for k, p in enumerate(extra)
+    ]
     h = hashlib.sha256()
-    for seed in (1, 2):
-        for i in range(400):
-            if not pick(i):
-                continue
-            r = make_page_row(i, seed)
-            out = extract_document(
-                r["url"], r["warc_ts"], r["html"], r["text"], r["lang"],
-                finalize=finalize,
-            )
-            h.update(
-                json.dumps(out, sort_keys=True, ensure_ascii=False, default=str)
-                .encode()
-            )
-            h.update(b"\n")
+    for r in rows:
+        out = extract_document(
+            r["url"], r["warc_ts"], r["html"], r["text"], r["lang"],
+            finalize=finalize,
+        )
+        h.update(
+            json.dumps(out, sort_keys=True, ensure_ascii=False, default=str)
+            .encode()
+        )
+        h.update(b"\n")
     return h.hexdigest()
 
 
@@ -59,6 +70,41 @@ class TestGoldenDigest:
 
     def test_finalize_on_html_pages(self):
         assert _digest(True, lambda i: i % 10 <= 6) == GOLDEN_FINALIZE
+
+    def test_finalize_on_every_other_lane(self):
+        digest = _digest(True, lambda i: i % 10 >= 7, _EXTRA_PAYLOADS)
+        assert digest == GOLDEN_FINALIZE_LANES
+
+    def test_every_lane_emits_element_fields(self):
+        rows = [make_page_row(i, 1) for i in range(10)]
+        payloads = [(r["html"], r["text"]) for r in rows]
+        payloads += [(p, None) for p in _EXTRA_PAYLOADS]
+        kinds = set()
+        for html, text in payloads:
+            for finalize in (False, True):
+                out = extract_document("u", None, html, text, finalize=finalize)
+                kinds.add(out["kind"])
+                for e in out["elements"]:
+                    assert tuple(e) == ELEMENT_FIELDS, (out["kind"], e)
+        assert kinds == {"html", "pdf", "json", "text"}
+
+
+def _slim_element(element: dict) -> dict:
+    """Envelope dict -> ``ELEMENT_FIELDS`` row: the flattening the lanes
+    applied to ``extract_from_markdown_text``'s output before they built
+    rows themselves."""
+    meta = element["metadata"]
+    return {
+        "type": element["type"],
+        "content": element["content"],
+        "page": element["page"],
+        "line_span": list(element["line_span"]),
+        "token_count": element["token_count"],
+        "section_id": element["section_id"],
+        "section_path": list(element["section_path"]),
+        "section_hash_path": list(element["section_hash_path"]),
+        "metadata_json": json.dumps(meta, sort_keys=True, ensure_ascii=False),
+    }
 
 
 def _two_pass(html: str) -> list[dict]:

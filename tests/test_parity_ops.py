@@ -1,15 +1,12 @@
 """Kernel parity operators: bbox conversion (M11), cell cleaning (M10),
 scanned detection + OCR tier (M13/M14), marker enrichment joins (J1/J2),
-and output-contract finalization (M15-M17). Pure kernel — no Ray.
+and output-contract finalization (M16). Pure kernel — no Ray.
 """
 
 import json
 
-from pdf_extractor_ray.kernel.finalize import (
-    assign_table_ids,
-    ensure_element_types,
-    ensure_required_fields,
-)
+from pdf_extractor_ray.kernel.extract import ELEMENT_FIELDS
+from pdf_extractor_ray.kernel.finalize import ensure_element_types
 from pdf_extractor_ray.kernel.markdown_extract import extract_from_markdown_text
 from pdf_extractor_ray.kernel.pdfshape import (
     SCANNED_MIN_CHARS_PER_PAGE,
@@ -109,7 +106,7 @@ class TestScannedPdf:
         assert b["spans"][0]["text"] == "Recovered line one."
 
     def test_extract_runs_ocr_tier(self):
-        elements, _ = extract_pdf_document(_scanned_doc(), url="u")
+        elements, _ = extract_pdf_document(_scanned_doc())
         texts = [e for e in elements if e["type"] == "text"]
         assert [t["content"] for t in texts] == [
             "Recovered line one.",
@@ -118,8 +115,8 @@ class TestScannedPdf:
         assert texts[0]["page"] == 1 and texts[1]["page"] == 2
 
     def test_ocr_is_deterministic(self):
-        a, _ = extract_pdf_document(_scanned_doc(), url="u")
-        b, _ = extract_pdf_document(_scanned_doc(), url="u")
+        a, _ = extract_pdf_document(_scanned_doc())
+        b, _ = extract_pdf_document(_scanned_doc())
         assert a == b
 
 
@@ -178,13 +175,6 @@ class TestMarkerEnrichment:
 
 
 class TestFinalize:
-    def test_required_fields_injected_only_when_missing(self):
-        els = [{"type": "text", "content": "x", "file_path": "keep.pdf"}]
-        out = ensure_required_fields(els, "doc.pdf", "repo")
-        assert out[0]["file_path"] == "keep.pdf"
-        assert out[0]["repo_link"] == "repo"
-        assert out[0]["section_path"] == ["1. Document"]
-
     def test_type_padding_adds_missing_types(self):
         out = ensure_element_types([], "dir/doc.pdf")
         types = sorted(e["type"] for e in out)
@@ -193,17 +183,9 @@ class TestFinalize:
         assert text["content"] == "Content extracted from doc.pdf"
         table = next(e for e in out if e["type"] == "table")
         assert json.loads(table["content"]) == [["Header", "Value"], ["Sample", "Data"]]
-        assert table["table_id"] == "table_0"  # positional, never uuid
+        assert all(tuple(e) == ELEMENT_FIELDS for e in out)
+        assert all(e["section_path"] == ["1. Document"] for e in out)
 
     def test_type_padding_noop_when_present(self):
         els = [{"type": "text", "content": "a"}, {"type": "table", "content": "[]"}]
         assert ensure_element_types(els, "d.pdf") == els
-
-    def test_positional_table_ids(self):
-        els = [
-            {"type": "table"},
-            {"type": "text"},
-            {"type": "table"},
-        ]
-        out = assign_table_ids(els)
-        assert [e.get("table_id") for e in out] == ["table_0", None, "table_1"]

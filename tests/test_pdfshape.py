@@ -5,7 +5,6 @@ import json
 from pdf_extractor_ray.kernel.extract import extract_document
 from pdf_extractor_ray.kernel.pdfshape import (
     extract_pdf_document,
-    parse_pdf_shaped,
     table_quality,
 )
 
@@ -51,16 +50,6 @@ def make_doc(merge=True):
     return {"kind": "pdf", "pages": [p1, p2]}
 
 
-class TestParsePdfShaped:
-    def test_valid(self):
-        raw = json.dumps(make_doc()).encode()
-        assert parse_pdf_shaped(raw)["kind"] == "pdf"
-
-    def test_not_pdf(self):
-        assert parse_pdf_shaped(b'{"a": 1}') is None
-        assert parse_pdf_shaped(b"not json") is None
-
-
 class TestReadingOrderAndSpans:
     def test_blocks_ordered_top_to_bottom(self):
         elements, _ = extract_pdf_document(make_doc())
@@ -94,7 +83,7 @@ class TestMultiPageMerge:
         assert tables[0]["rows"] == 3  # header + 1 + 1 (dup header dropped)
         table_els = [e for e in elements if e["type"] == "table"]
         assert len(table_els) == 1
-        rec = table_els[0]["metadata"]["record"]
+        rec = json.loads(table_els[0]["metadata_json"])["record"]
         assert rec["is_multi_page"] is True
         assert rec["page_range"] == "1-2"
 
