@@ -9,9 +9,10 @@ feature classifier of Kohlschuetter, Fankhauser & Nejdl, "Boilerplate
 Detection using Shallow Text Features" (WSDM 2010) — the
 ``NumWordsRulesClassifier`` decision tree shipped by the public
 boilerpipe library. This module re-implements that tree from the
-paper's published rule set over blocks produced by the SAME tokenizer
-as kernel/html_to_md.py (script/style/head contents invisible,
-entities unescaped, whitespace collapsed).
+paper's published rule set over blocks read from the scan step of
+kernel/html_to_md.py, the one every HTML parser there shares
+(script/style/head contents invisible, entities unescaped, whitespace
+collapsed).
 
 Block contract
 --------------
@@ -59,11 +60,7 @@ from html import unescape
 
 import numpy as np
 
-from pdf_extractor_ray.kernel.html_to_md import (
-    _RAW_CLOSE_RE,
-    _RAW_TEXT,
-    _TOKEN_RE,
-)
+from pdf_extractor_ray.kernel.html_to_md import _CLOSE, _DATA, _OPEN, _tokens
 
 __all__ = ["segment_blocks", "classify_blocks", "extract_main_content"]
 
@@ -85,27 +82,24 @@ def segment_blocks(html: str) -> list[tuple[str, int, int]]:
     """Split an HTML document into text blocks.
 
     Returns ``[(text, n_words, n_link_words), ...]`` in document
-    order; empty blocks are dropped. Uses the shared single-pass
-    tokenizer of kernel/html_to_md.py, so raw-text elements
+    order; empty blocks are dropped. Reads the scan step of
+    kernel/html_to_md.py (``_tokens``), so raw-text elements
     (script/style/template/noscript) and the <head> subtree are
     invisible, comments are ignored, and entities are unescaped.
     """
     blocks: list[tuple[str, int, int]] = []
-    parts: list[str] = []          # data segments of the current block
-    anchor_parts: list[str] = []   # segments of the currently-open <a>
+    parts: list[str] = []          # data runs of the current block
+    anchor_parts: list[str] = []   # runs of the currently-open <a>
     link_words = 0                 # finalized anchor word count so far
-    anchor_depth = 0
+    anchor_open = False
     skip_depth = 0
-    pos = 0
-    n = len(html)
 
     def close_anchor() -> None:
-        nonlocal link_words, anchor_depth
-        if anchor_depth > 0:
-            text = "".join(anchor_parts)
-            link_words += len(text.split())
+        nonlocal link_words, anchor_open
+        if anchor_open:
+            link_words += len("".join(anchor_parts).split())
         anchor_parts.clear()
-        anchor_depth = 0
+        anchor_open = False
 
     def flush() -> None:
         nonlocal link_words
@@ -117,59 +111,36 @@ def segment_blocks(html: str) -> list[tuple[str, int, int]]:
                 blocks.append((text, len(text.split(" ")), link_words))
         link_words = 0
 
-    def data(text: str) -> None:
-        if skip_depth or not text:
-            return
-        if "&" in text:
-            text = unescape(text)
-        parts.append(text)
-        if anchor_depth > 0:
-            anchor_parts.append(text)
-
-    while pos < n:
-        lt = html.find("<", pos)
-        if lt == -1:
-            data(html[pos:])
-            break
-        m = _TOKEN_RE.match(html, lt)
-        if m is None:
-            # bogus '<': emit it as data and continue scanning after it
-            data(html[pos : lt + 1])
-            pos = lt + 1
-            continue
-        if lt > pos:
-            data(html[pos:lt])
-        pos = m.end()
-        close_tag, open_tag, attrs = m.group(2), m.group(3), m.group(4)
-        if close_tag is not None:
-            tag = close_tag.lower()
+    for kind, tag, value in _tokens(html):
+        if kind == _DATA:
+            if skip_depth:
+                continue
+            if "&" in value:
+                value = unescape(value)
+            parts.append(value)
+            if anchor_open:
+                anchor_parts.append(value)
+        elif kind == _CLOSE:
             if tag in _SKIP_CONTENT:
                 skip_depth = max(0, skip_depth - 1)
             elif tag == "a":
                 close_anchor()
             elif tag in _BLOCK_TAGS:
                 flush()
-        elif open_tag is not None:
-            tag = open_tag.lower()
-            if tag in _RAW_TEXT:
-                close = _RAW_CLOSE_RE[tag].search(html, pos)
-                if close is None:
-                    break
-                gt = html.find(">", close.end())
-                pos = n if gt == -1 else gt + 1
-            elif tag in _SKIP_CONTENT:
+        elif kind == _OPEN:
+            if tag in _SKIP_CONTENT:
                 skip_depth += 1
             elif tag == "a":
                 if not skip_depth:
                     # nested <a> is auto-closed by browsers: finalize
                     # the open anchor before starting the new one
                     close_anchor()
-                    anchor_depth = 1
-                    if attrs.rstrip().endswith("/"):
+                    anchor_open = True
+                    if value.rstrip().endswith("/"):
                         close_anchor()
             elif tag in _BLOCK_TAGS:
                 flush()
-        # comments / doctype / CDATA / processing instructions: ignored
+        # raw-text bodies: invisible
     flush()
     return blocks
 

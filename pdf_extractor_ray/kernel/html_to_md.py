@@ -25,15 +25,21 @@ needed subset:
     extractor understands, markdown_extractor.py:373-379)
   - entities unescaped
 
-Implementation note: ``html_blocks`` is the one tag walk — a single
-function whose loop makes one anchored regex match per token (the data
-run, then the tag / comment / doctype at its end), not the stdlib
-HTMLParser, which walks Python-level char by char. Raw-text elements
-(script/style/...) are skipped with a case-insensitive scan to their
-closing tag, so their content is never tokenized at all. The walk emits
-typed blocks: the html lane feeds them straight to the markdown scanner
+Implementation note: one scan step serves every parser here. An
+anchored match of ``_SCAN_RE`` takes the data run up to the next ``<``
+and the tag / comment / doctype there, if one matches; a ``<`` where
+none matches starts a data run that :func:`_bogus_end` ends (the
+bounded fail-jump); a raw-text element (script/style/...) is skipped
+to the end that :func:`_raw_end` gives, so its content is never
+tokenized at all. This is not the stdlib HTMLParser, which walks
+Python-level char by char. ``html_blocks``, the tag walk, inlines the
+step, since it runs on every html page; it emits typed blocks: the html
+lane feeds them straight to the markdown scanner
 (markdown_extract.extract_html_rows), and ``html_to_markdown`` only
-renders them.
+renders them. The harvesters (``extract_anchors``, the head and date
+readers, ``content_extract.segment_blocks``) consume the same step
+through the :func:`_tokens` generator, so each costs O(its bytes) on a
+tag flood as the walk does.
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ __all__ = [
     "html_blocks",
     "render_block",
     "html_to_markdown",
-    "strip_html_tags",
     "extract_anchors",
     "extract_head_meta",
     "extract_pub_date",
@@ -69,7 +74,6 @@ _WS_RE = re.compile(r"[ \t\r\f\v]+")
 _ANY_WS_RE = re.compile(r"\s+")
 _PAGE_COMMENT_RE = re.compile(r"^\s*page:\s*\d+\s*$")
 _LANG_CLASS_RE = re.compile(r"language-([\w+-]+)")
-_TAG_RE = re.compile(r"<[^>]+>")
 
 # One pass: comments | doctype/decls | closing tags | opening tags.
 # The bare `<!--.*` branch handles UNTERMINATED comments: per HTML5 an
@@ -84,26 +88,29 @@ _TAG_RE = re.compile(r"<[^>]+>")
 # measured in minutes (found by pathological-input timing). Atomic
 # kills the backtracking; the 4096-rep cap bounds any single scan
 # (real-world tags are far smaller; a longer one degrades to text).
+# The tag name and the rep count are possessive too: neither a shorter
+# name nor fewer reps can reach a '>' that the longest could not, and
+# backtracking through both made each bogus '<' before a long letter
+# run ("< " + "z" * 5000) cost 513 x 4096 steps.
 # Whitespace runs and tag names are CAPPED (not unbounded) so that
 # every '>'-requiring token form fits inside _FAIL_JUMP_MARGIN bytes of
 # its '<' — the bogus-tag fail-jump below relies on that bound, and an
 # unbounded `\s*` / name run would let a legal token start inside a
 # jumped region. Tags exceeding the caps are treated as bogus data
 # (documented grammar bound, matching the 4096 attr cap).
-_TOKEN_RE = re.compile(
+_TOKEN_PATTERN = (
     r"<!--(.*?)-->"
     r"|<!--.*"
     r"|<!\[CDATA\[.*?\]\]>"
     r"|<![^>]{0,4096}>"
     r"|<\s{0,64}/\s{0,64}([a-zA-Z][a-zA-Z0-9-]{0,512})\s{0,4096}>"
-    r"|<\s{0,64}([a-zA-Z][a-zA-Z0-9-]{0,512})((?>\"[^\"]*\"|'[^']*'|[^>\"']){0,4096})>"
-    r"|<\?[^>]{0,4096}>",
-    re.S,
+    r"|<\s{0,64}([a-zA-Z][a-zA-Z0-9-]{0,512}+)((?>\"[^\"]*\"|'[^']*'|[^>\"']){0,4096}+)>"
+    r"|<\?[^>]{0,4096}>"
 )
 # On a failed anchored attempt, candidates more than this far from the
 # next '>' cannot match any '>'-requiring token form either — the scan
-# loop jumps them wholesale (see html_to_markdown). Above the largest
-# cap sum (close tag: 1+64+1+64+513+4096 = 4739).
+# jumps them wholesale (_bogus_end). Above the largest cap sum (close
+# tag: 1+64+1+64+513+4096 = 4739).
 _FAIL_JUMP_MARGIN = 4800
 _ATTR_RE = re.compile(
     r"([a-zA-Z_:][a-zA-Z0-9_:.-]*)\s*=\s*(\"([^\"]*)\"|'([^']*)'|([^\s>]+))"
@@ -129,16 +136,103 @@ def _parse_attrs(raw: str) -> dict[str, str]:
     return out
 
 
-# The walk's scanner: one anchored match per token, the data run up to
-# the next '<' and then the token there, if one matches. Groups shift
-# by one against _TOKEN_RE: 2 comment, 3 close-tag name, 4 open-tag
-# name, 5 attributes (all None for data only, or a declaration, CDATA,
-# processing instruction or unterminated comment).
-_SCAN_RE = re.compile(r"([^<]*)(?:" + _TOKEN_RE.pattern + ")?", re.S)
+# The scan step: one anchored match per token, the data run up to the
+# next '<' and then the token there, if one matches. Groups: 1 data,
+# 2 comment, 3 close-tag name, 4 open-tag name, 5 attributes (all None
+# for data only, or a declaration, CDATA, processing instruction or
+# unterminated comment).
+_SCAN_RE = re.compile(r"([^<]*)(?:" + _TOKEN_PATTERN + ")?", re.S)
 _RAW = frozenset(_RAW_TEXT)
 _CELL = frozenset(("td", "th"))
 _HEADING = frozenset(("h1", "h2", "h3", "h4", "h5", "h6"))
 _MARK = {"b": "**", "strong": "**", "i": "*", "em": "*"}
+
+
+def _bogus_end(html: str, lt: int) -> int:
+    """The end of the data run that a ``<`` at ``lt`` with no token
+    starts: the next ``<`` that could still start one, or EOF.
+
+    If no '>' remains, only the unterminated-comment branch can match,
+    on sight, so the run ends at the next ``<!--``. Otherwise every
+    candidate further than the margin from the next '>' would fail the
+    same way (all token forms except comments and CDATA need a '>'
+    within their caps), so the run takes them in one step, which keeps
+    tag floods linear instead of retrying a long match at every '<'.
+    Comments match on sight and CDATA sections close on ']]>' (possibly
+    far past the '>'), so the run never passes a ``<!--`` or a
+    ``<![CDATA[`` start. It ends at a '<', so an entity is never cut.
+    """
+    gt = html.find(">", lt)
+    if gt == -1:
+        nxt = html.find("<!--", lt + 1)
+        return len(html) if nxt == -1 else nxt
+    jump = gt - _FAIL_JUMP_MARGIN
+    if jump <= lt + 1:
+        jump = lt + 1
+    else:
+        # one forward search for a start before the jump, so it is
+        # paid for by the run it ends
+        nxt = lt
+        while (nxt := html.find("<!", nxt + 1, jump + 1)) != -1:
+            if html.startswith("<!--", nxt) or html.startswith("<![CDATA[", nxt):
+                jump = nxt
+                break
+    nxt = html.find("<", jump)
+    return len(html) if nxt == -1 else nxt
+
+
+def _raw_end(html: str, tag: str, pos: int) -> tuple[int, int] | None:
+    """The close of the raw-text element ``tag`` whose body starts at
+    ``pos``: ``(start of its close tag, position after the close
+    tag's '>')``, or None when the element is unclosed. A close tag
+    with no '>' after it runs to EOF."""
+    m = _RAW_CLOSE_RE[tag].search(html, pos)
+    if m is None:
+        return None
+    gt = html.find(">", m.end())
+    return m.start(), len(html) if gt == -1 else gt + 1
+
+
+# What _tokens yields: (kind, tag, value).
+_DATA, _OPEN, _CLOSE, _RAW_BODY = range(4)
+
+
+def _tokens(html: str):
+    """The scan step as a stream, for the harvesters: in document order,
+    ``(_DATA, None, text)`` per data run (entities left as-is),
+    ``(_OPEN, tag, attrs)`` per opening tag and ``(_CLOSE, tag, None)``
+    per closing tag (tag names lower-cased), and after a raw-text
+    element's opening tag ``(_RAW_BODY, tag, body)``: the body runs to
+    the close tag, or to EOF when the element is unclosed, after which
+    the stream ends. Comments, declarations, CDATA and processing
+    instructions yield nothing. The walk (:func:`html_blocks`) inlines
+    the same step."""
+    scan = _SCAN_RE.match
+    pos = 0
+    n = len(html)
+    while pos < n:
+        m = scan(html, pos)
+        text, _, close, name, attrs = m.groups()
+        end = m.end()
+        if end == pos + len(text):
+            end = _bogus_end(html, end)
+            text = html[pos:end]
+            close = name = None
+        pos = end
+        if text:
+            yield _DATA, None, text
+        if close is not None:
+            yield _CLOSE, close.lower(), None
+        elif name is not None:
+            tag = name.lower()
+            yield _OPEN, tag, attrs
+            if tag in _RAW:
+                span = _raw_end(html, tag, pos)
+                if span is None:
+                    yield _RAW_BODY, tag, html[pos:]
+                    return
+                yield _RAW_BODY, tag, html[pos : span[0]]
+                pos = span[1]
 
 
 def _inline_text(inline: list[str]) -> str:
@@ -206,32 +300,8 @@ def html_blocks(html: str) -> list[tuple[str, str, object]]:
             end = m.end()
             lt = pos + len(text)
             if end == lt:
-                # No token at lt. If no '>' remains anywhere, no token can
-                # ever match again (every form except the unterminated-
-                # comment branch needs one, and that branch matches on
-                # sight) — the rest is data, which keeps tag-flood inputs
-                # linear instead of retrying a long scan at every '<'.
-                gt = html.find(">", lt) if lt < n else -1
-                if gt == -1:
-                    text, pos = html[pos:], n
-                else:
-                    # Bogus-tag recovery with a bounded jump: every
-                    # remaining candidate further than the margin from the
-                    # next '>' would fail the same way (all token forms
-                    # except comments and CDATA need a '>' within their
-                    # caps), so skip them as data in one step. Comments
-                    # match on sight and CDATA sections close on ']]>'
-                    # (possibly far past gt), so never jump past a '<!--'
-                    # or a '<![CDATA[' start.
-                    jump = gt - _FAIL_JUMP_MARGIN
-                    nxt = html.find("<!--", lt + 1, gt)
-                    if nxt != -1:
-                        jump = min(jump, nxt)
-                    nxt = html.find("<![CDATA[", lt + 1, gt)
-                    if nxt != -1:
-                        jump = min(jump, nxt)
-                    jump = max(jump, lt + 1)
-                    text, pos = html[pos:jump], jump
+                end = _bogus_end(html, lt)
+                text, pos = html[pos:end], end
                 name = close = comment = None
             else:
                 pos = end
@@ -250,12 +320,11 @@ def html_blocks(html: str) -> list[tuple[str, str, object]]:
             if name is not None:
                 tag = name.lower()
                 if tag in _RAW:
-                    # skip raw content wholesale: find the closing tag
-                    raw_end = _RAW_CLOSE_RE[tag].search(html, pos)
-                    if raw_end is None:
+                    # skip raw content wholesale
+                    span = _raw_end(html, tag, pos)
+                    if span is None:
                         break
-                    gt = html.find(">", raw_end.end())
-                    pos = n if gt == -1 else gt + 1
+                    pos = span[1]
                 elif tag == "head":
                     skip += 1
                 elif skip:
@@ -392,50 +461,30 @@ def html_to_markdown(html: str) -> str:
     return "\n\n".join([render_block(*b) for b in html_blocks(html)])
 
 
-def strip_html_tags(text: str) -> str:
-    """Remove any residual angle-bracket tags (the bleach ``tags=[]``
-    pass of corpus_utils.py:143)."""
-    return _TAG_RE.sub("", text)
-
-
 def extract_anchors(html: str) -> list[tuple[str, str]]:
     """``(href, anchor_text)`` for every ``<a href=...>`` in document
-    order. Uses the same tokenizer and raw-text skipping as
-    :func:`html_to_markdown`, so ``<script>``/``<style>`` contents are
-    invisible (a decoy anchor inside a script body is NOT a link) and
-    inner markup is stripped from the anchor text (only data segments
-    are collected, whitespace-collapsed). Anchors without an ``href``
-    attribute are ignored; entities are left as-is (the tokenizer
-    contract throughout this module)."""
+    order. Reads the scan step of :func:`html_blocks` (:func:`_tokens`),
+    so ``<script>``/``<style>`` contents are invisible (a decoy anchor
+    inside a script body is NOT a link) and inner markup is stripped
+    from the anchor text (only data runs are collected,
+    whitespace-collapsed). Anchors without an ``href`` attribute are
+    ignored; entities are left as-is (the tokenizer contract throughout
+    this module)."""
     out: list[tuple[str, str]] = []
-    pos = 0
     href: str | None = None
     parts: list[str] = []
-    n = len(html)
-    while pos < n:
-        m = _TOKEN_RE.search(html, pos)
-        if m is None:
+    for kind, tag, value in _tokens(html):
+        if kind == _DATA:
             if href is not None:
-                parts.append(html[pos:])
-            break
-        if m.start() > pos and href is not None:
-            parts.append(html[pos : m.start()])
-        close_name, open_name, open_attrs = m.group(2), m.group(3), m.group(4)
-        pos = m.end()
-        if open_name:
-            tag = open_name.lower()
-            if tag in _RAW_TEXT:
-                mc = _RAW_CLOSE_RE[tag].search(html, pos)
-                pos = mc.end() if mc else n
-            elif tag == "a":
-                attrs = _parse_attrs(open_attrs or "")
-                href = attrs.get("href")
-                parts = []
-        elif close_name and close_name.lower() == "a":
+                parts.append(value)
+        elif tag != "a":
+            continue
+        elif kind == _OPEN:
+            href = _parse_attrs(value).get("href")
+            parts = []
+        elif kind == _CLOSE:
             if href is not None:
-                text = _collapse(
-                    _ANY_WS_RE.sub(" ", "".join(parts))
-                ).strip()
+                text = _collapse(_ANY_WS_RE.sub(" ", "".join(parts))).strip()
                 out.append((href, text))
             href = None
             parts = []
@@ -448,12 +497,12 @@ def extract_head_meta(html: str) -> dict:
     ``robots`` / ``description`` / ``og:title`` meta values —
     first-occurrence-wins for each field, matching browser behavior.
 
-    Same tokenizer and raw-text skipping as :func:`html_to_markdown`:
-    a decoy ``<title>`` inside a ``<script>`` body or an HTML comment
-    is invisible; attribute order, quote style (single/double/bare)
-    and tag case don't matter (``_parse_attrs``); entities are left
-    as-is (the tokenizer contract throughout this module). Missing
-    fields come back as ``None``.
+    Reads the scan step of :func:`html_blocks` (:func:`_tokens`): a
+    decoy ``<title>`` inside a ``<script>`` body or an HTML comment is
+    invisible; attribute order, quote style (single/double/bare) and
+    tag case don't matter (``_parse_attrs``); entities are left as-is
+    (the tokenizer contract throughout this module). Missing fields
+    come back as ``None``.
     """
     out = {
         "title": None,
@@ -462,47 +511,39 @@ def extract_head_meta(html: str) -> dict:
         "description": None,
         "og_title": None,
     }
-    pos = 0
     title_parts: list[str] | None = None
-    n = len(html)
-    while pos < n:
-        m = _TOKEN_RE.search(html, pos)
-        if m is None:
-            break
-        if m.start() > pos and title_parts is not None:
-            title_parts.append(html[pos : m.start()])
-        close_name, open_name, open_attrs = m.group(2), m.group(3), m.group(4)
-        pos = m.end()
-        if open_name:
-            tag = open_name.lower()
-            if tag in _RAW_TEXT:
-                mc = _RAW_CLOSE_RE[tag].search(html, pos)
-                pos = mc.end() if mc else n
-            elif tag == "title" and out["title"] is None:
-                title_parts = []
-            elif tag == "meta":
-                attrs = _parse_attrs(open_attrs or "")
-                key = (attrs.get("name") or attrs.get("property") or "").lower()
-                content = attrs.get("content")
-                if content is None:
-                    continue
-                if key == "robots" and out["robots"] is None:
-                    out["robots"] = content
-                elif key == "description" and out["description"] is None:
-                    out["description"] = content
-                elif key == "og:title" and out["og_title"] is None:
-                    out["og_title"] = content
-            elif tag == "link":
-                attrs = _parse_attrs(open_attrs or "")
-                rel = (attrs.get("rel") or "").lower()
-                if rel == "canonical" and out["canonical"] is None:
-                    out["canonical"] = attrs.get("href")
-        elif close_name and close_name.lower() == "title":
+    for kind, tag, value in _tokens(html):
+        if kind == _DATA:
             if title_parts is not None:
+                title_parts.append(value)
+        elif kind == _CLOSE:
+            if tag == "title" and title_parts is not None:
                 out["title"] = _collapse(
                     _ANY_WS_RE.sub(" ", "".join(title_parts))
                 ).strip()
                 title_parts = None
+        elif kind != _OPEN:
+            continue
+        elif tag == "title":
+            if out["title"] is None:
+                title_parts = []
+        elif tag == "meta":
+            attrs = _parse_attrs(value)
+            key = (attrs.get("name") or attrs.get("property") or "").lower()
+            content = attrs.get("content")
+            if content is None:
+                continue
+            if key == "robots" and out["robots"] is None:
+                out["robots"] = content
+            elif key == "description" and out["description"] is None:
+                out["description"] = content
+            elif key == "og:title" and out["og_title"] is None:
+                out["og_title"] = content
+        elif tag == "link":
+            attrs = _parse_attrs(value)
+            rel = (attrs.get("rel") or "").lower()
+            if rel == "canonical" and out["canonical"] is None:
+                out["canonical"] = attrs.get("href")
     return out
 
 
@@ -554,8 +595,8 @@ def extract_pub_date(html: str, url: str = "") -> tuple[str, str]:
     """``(iso_date, source)`` for a page, ``("", "")`` when nothing
     matches. ``source`` is one of ``meta`` / ``time`` / ``url``.
 
-    Same tokenizer and raw-text skipping as :func:`extract_head_meta`:
-    a date-bearing meta tag inside a ``<script>`` body or an HTML
+    Reads the scan step of :func:`html_blocks` (:func:`_tokens`): a
+    date-bearing meta tag inside a ``<script>`` body or an HTML
     comment is invisible; attribute order, quote style and tag case
     don't matter. Meta values and ``datetime`` attributes may carry a
     full ISO timestamp — only the leading ``YYYY-MM-DD`` is taken, and
@@ -564,22 +605,11 @@ def extract_pub_date(html: str, url: str = "") -> tuple[str, str]:
     """
     meta_date: str | None = None
     time_date: str | None = None
-    pos = 0
-    n = len(html)
-    while pos < n and meta_date is None:
-        m = _TOKEN_RE.search(html, pos)
-        if m is None:
-            break
-        open_name, open_attrs = m.group(3), m.group(4)
-        pos = m.end()
-        if not open_name:
+    for kind, tag, value in _tokens(html):
+        if kind != _OPEN:
             continue
-        tag = open_name.lower()
-        if tag in _RAW_TEXT:
-            mc = _RAW_CLOSE_RE[tag].search(html, pos)
-            pos = mc.end() if mc else n
-        elif tag == "meta":
-            attrs = _parse_attrs(open_attrs or "")
+        if tag == "meta":
+            attrs = _parse_attrs(value)
             key = (
                 attrs.get("property")
                 or attrs.get("name")
@@ -588,10 +618,10 @@ def extract_pub_date(html: str, url: str = "") -> tuple[str, str]:
             ).lower()
             if key in _DATE_META_KEYS:
                 meta_date = _iso_or_none(attrs.get("content"))
+                if meta_date:
+                    break
         elif tag == "time" and time_date is None:
-            time_date = _iso_or_none(
-                _parse_attrs(open_attrs or "").get("datetime")
-            )
+            time_date = _iso_or_none(_parse_attrs(value).get("datetime"))
     if meta_date:
         return meta_date, "meta"
     if time_date:
@@ -616,33 +646,20 @@ def extract_meta_refresh(html: str) -> tuple[int, str]:
     """First ``<meta http-equiv=refresh>`` directive as ``(delay_s,
     target_url)``; ``(-1, "")`` when absent. A delay-only refresh
     (no ``url=``) reloads the same page and comes back as
-    ``(delay, "")``. Same tokenizer and raw-text skipping as
-    :func:`extract_head_meta` — script/comment decoys invisible,
-    attribute order / quote style / case immaterial. Meta-refresh is
-    the in-document leg of the crawl redirect table: rows it emits
-    feed :func:`functions.webgraph.resolve_redirects` exactly like
-    HTTP 3xx rows."""
-    pos = 0
-    n = len(html)
-    while pos < n:
-        m = _TOKEN_RE.search(html, pos)
-        if m is None:
-            break
-        open_name, open_attrs = m.group(3), m.group(4)
-        pos = m.end()
-        if not open_name:
+    ``(delay, "")``. Reads the scan step of :func:`html_blocks`
+    (:func:`_tokens`) — script/comment decoys invisible, attribute
+    order / quote style / case immaterial. Meta-refresh is the
+    in-document leg of the crawl redirect table: rows it emits feed
+    :func:`functions.webgraph.resolve_redirects` exactly like HTTP 3xx
+    rows."""
+    for kind, tag, value in _tokens(html):
+        if kind != _OPEN or tag != "meta":
             continue
-        tag = open_name.lower()
-        if tag in _RAW_TEXT:
-            mc = _RAW_CLOSE_RE[tag].search(html, pos)
-            pos = mc.end() if mc else n
-        elif tag == "meta":
-            attrs = _parse_attrs(open_attrs or "")
-            if (attrs.get("http-equiv") or "").lower() != "refresh":
-                continue
-            cm = _REFRESH_CONTENT_RE.match(attrs.get("content") or "")
-            if cm is None:
-                continue
+        attrs = _parse_attrs(value)
+        if (attrs.get("http-equiv") or "").lower() != "refresh":
+            continue
+        cm = _REFRESH_CONTENT_RE.match(attrs.get("content") or "")
+        if cm is not None:
             return int(cm.group(1)), cm.group(2) or ""
     return -1, ""
 
@@ -652,31 +669,19 @@ def extract_hreflang(html: str) -> list[tuple[str, str]]:
     document order — the page's declared language-variant set (the
     signal international-SEO dedup clusters on). ``rel`` is matched as
     a whitespace-separated token list per the HTML spec, lang tags are
-    lowercased; same tokenizer contract as the other head harvesters
-    (script/comment decoys invisible, attribute order/quoting/case
-    immaterial)."""
+    lowercased; reads the scan step of :func:`html_blocks`
+    (:func:`_tokens`): script/comment decoys invisible, attribute
+    order/quoting/case immaterial."""
     out: list[tuple[str, str]] = []
-    pos = 0
-    n = len(html)
-    while pos < n:
-        m = _TOKEN_RE.search(html, pos)
-        if m is None:
-            break
-        open_name, open_attrs = m.group(3), m.group(4)
-        pos = m.end()
-        if not open_name:
+    for kind, tag, value in _tokens(html):
+        if kind != _OPEN or tag != "link":
             continue
-        tag = open_name.lower()
-        if tag in _RAW_TEXT:
-            mc = _RAW_CLOSE_RE[tag].search(html, pos)
-            pos = mc.end() if mc else n
-        elif tag == "link":
-            attrs = _parse_attrs(open_attrs or "")
-            rel = (attrs.get("rel") or "").lower().split()
-            lang = attrs.get("hreflang")
-            href = attrs.get("href")
-            if "alternate" in rel and lang and href:
-                out.append((lang.lower(), href))
+        attrs = _parse_attrs(value)
+        rel = (attrs.get("rel") or "").lower().split()
+        lang = attrs.get("hreflang")
+        href = attrs.get("href")
+        if "alternate" in rel and lang and href:
+            out.append((lang.lower(), href))
     return out
 
 
@@ -717,8 +722,9 @@ def extract_json_ld(html: str) -> tuple[list[dict], int]:
     parameters (``Application/LD+JSON; charset=utf-8`` matches).
     Script bodies are raw text — a decoy block inside an HTML comment
     or a ``text/javascript`` script is invisible, and entity values
-    are JSON-unescaped but never HTML-decoded (script CDATA contract,
-    same tokenizer as :func:`html_to_markdown`).  A top-level array
+    are JSON-unescaped but never HTML-decoded (script CDATA contract;
+    the bodies come from the scan step of :func:`html_blocks`,
+    :func:`_tokens`).  A top-level array
     and the ``@graph`` envelope both flatten to their member entities;
     non-dict members are skipped.  Per entity: ``type`` (``@type``,
     first of a list), ``name`` (``headline`` wins over ``name`` —
@@ -729,28 +735,15 @@ def extract_json_ld(html: str) -> tuple[list[dict], int]:
 
     entities: list[dict] = []
     n_bad = 0
-    pos = 0
-    n = len(html)
-    while pos < n:
-        m = _TOKEN_RE.search(html, pos)
-        if m is None:
-            break
-        open_name, open_attrs = m.group(3), m.group(4)
-        pos = m.end()
-        if not open_name:
+    attrs = ""  # of the last opening tag: a raw body follows its own
+    for kind, tag, body in _tokens(html):
+        if kind == _OPEN:
+            attrs = body
             continue
-        tag = open_name.lower()
-        if tag not in _RAW_TEXT:
+        if kind != _RAW_BODY or tag != "script":
             continue
-        mc = _RAW_CLOSE_RE[tag].search(html, pos)
-        body_end = mc.start() if mc else n
-        body = html[pos:body_end]
-        pos = mc.end() if mc else n
-        if tag != "script":
-            continue
-        attrs = _parse_attrs(open_attrs or "")
-        mtype = (attrs.get("type") or "").split(";", 1)[0].strip().lower()
-        if mtype != _LD_JSON_TYPE:
+        mtype = _parse_attrs(attrs).get("type") or ""
+        if mtype.split(";", 1)[0].strip().lower() != _LD_JSON_TYPE:
             continue
         try:
             doc = json.loads(body)

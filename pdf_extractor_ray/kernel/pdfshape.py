@@ -131,6 +131,11 @@ def _reading_order(blocks: list[dict[str, Any]]) -> list[dict[str, Any]]:
 # extracted tables are orders of magnitude below this.
 MAX_GRID_DIM = CONFIG.max_grid_dim
 
+# The same rule for a heading's claimed level, which renders as a '#'
+# run: levels above 6 already come out as text, so deeper ones are
+# rendered at this depth.
+MAX_HEADING_LEVEL = 16
+
 
 # A grid may densify to at most this many slots per kept cell — the
 # AREA bound that the per-dimension MAX_GRID_DIM check alone cannot
@@ -366,6 +371,9 @@ def extract_pdf_document(
     table_records: list[dict[str, Any]] = []
     # (page number, blocks in reading order, table id by block index)
     pages: list[tuple[int, list[dict[str, Any]], dict[int, str]]] = []
+    # tables so far per page number: a number repeated across pages
+    # goes on counting, so every table id is unique
+    n_tables: dict[int, int] = {}
 
     for page in doc.get("pages") or []:
         page_no = int(page.get("page_number", 1))
@@ -397,7 +405,7 @@ def extract_pdf_document(
             quality = table_quality(grid, accuracy)
             bbox = [float(v) for v in (block.get("bbox") or [0, 0, 0, 0])]
             record = {
-                "id": f"table_{page_no}_{len(table_ids)}",
+                "id": f"table_{page_no}_{n_tables.get(page_no, 0)}",
                 "page": page_no,
                 "data": grid,
                 "accuracy": accuracy,
@@ -437,6 +445,7 @@ def extract_pdf_document(
                         "No intersecting table with detector results"
                     )
             table_ids[k] = record["id"]
+            n_tables[page_no] = n_tables.get(page_no, 0) + 1
             table_records.append(record)
 
     # Drop low-confidence tables (the reference's drop is ONLY the
@@ -497,7 +506,7 @@ def _page_rows(
             btype = block.get("type")
             record = None
             if btype == "heading":
-                level = int(block.get("level", 1))
+                level = min(int(block.get("level", 1)), MAX_HEADING_LEVEL)
                 item = ("h", str(block.get("text", "")).strip(), level)
             elif btype == "text":
                 text = " ".join(

@@ -26,9 +26,14 @@ from __future__ import annotations
 
 import re
 
+from pdf_extractor_ray.kernel.html_to_md import _bogus_end
+
 __all__ = ["parse_sitemap"]
 
-# comments | CDATA | close tag | open tag (prefix stripped via group).
+# comments | close tag | open tag (prefix stripped via group). A tag
+# spans at most 1+64+1+64+129+128+4096+1 = 4484 chars, under the html
+# scan's _FAIL_JUMP_MARGIN, so its fail-jump (_bogus_end) skips no '<'
+# where a tag could match. CDATA is data here: _CDATA_RE unwraps a loc.
 _XML_TOKEN_RE = re.compile(
     r"<!--.*?-->"
     r"|<!--.*"  # unterminated comment swallows to EOF (HTML5-style)
@@ -45,18 +50,17 @@ def parse_sitemap(xml: str) -> list[tuple[str, str]]:
     out: list[tuple[str, str]] = []
     container: str | None = None
     pending: str | None = None  # inside a <loc>, collecting raw text
-    pos = 0
-    n = len(xml)
-    last = 0
-    while pos < n:
-        m = _XML_TOKEN_RE.search(xml, pos)
+    match = _XML_TOKEN_RE.match
+    pos = last = 0
+    while (lt := xml.find("<", pos)) != -1:
+        m = match(xml, lt)
         if m is None:
-            break
-        if pending is not None and m.start() > last:
-            pending += xml[last : m.start()]
+            pos = _bogus_end(xml, lt)
+            continue
+        if pending is not None and lt > last:
+            pending += xml[last:lt]
         closing, name = m.group(1), m.group(2)
-        pos = m.end()
-        last = pos
+        pos = last = m.end()
         if name is None:  # comment token
             continue
         name = name.lower()

@@ -1,7 +1,7 @@
 """HTML -> markdown conversion (boilerplate-strip lane, SURVEY.md M18/S2)."""
 
 from pdf_extractor_ray.kernel.extract import extract_document
-from pdf_extractor_ray.kernel.html_to_md import html_to_markdown, strip_html_tags
+from pdf_extractor_ray.kernel.html_to_md import html_to_markdown
 
 REFERENCE_CORPUS_HTML = """<!DOCTYPE html>
 <html>
@@ -80,17 +80,14 @@ class TestHtmlToMarkdown:
         assert html_to_markdown("") == ""
 
 
-class TestStripHtmlTags:
-    def test_strips(self):
-        assert strip_html_tags("a <b>bold</b> c") == "a bold c"
-
+class TestFailJump:
     def test_cdata_inside_fail_jump_region_still_tokenizes(self):
         # a bogus '<' far from any '>' triggers the fail-jump; a CDATA
         # section starting inside the jumped region closes on ']]>'
         # (possibly far away) and must not be emitted as data
         filler = "x" * 6000
         html = f"< bogus {filler} <![CDATA[secret]]> <p>after</p> >tail"
-        out = strip_html_tags(html)
+        out = html_to_markdown(html)
         assert "secret" not in out
         assert "after" in out
 
@@ -98,7 +95,7 @@ class TestStripHtmlTags:
         # the capped grammar: a close tag with >4096 interior spaces is
         # bogus data, not a token — and tokens after it still parse
         html = "<p>a</p></b" + " " * 5000 + "><p>b</p>"
-        out = strip_html_tags(html)
+        out = html_to_markdown(html)
         assert "a" in out and "b" in out
 
 

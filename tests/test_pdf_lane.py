@@ -5,6 +5,10 @@ page rendered to a markdown string, re-scanned by
 ``extract_from_markdown_text``, each envelope slimmed — which this file
 keeps as the oracle, except that a table element takes the record of
 the table block its lines came from, not the next record in order. The
+one input class where they differ: two pages with the same number that
+both hold a table. There the oracle's per-page table ids repeat, while
+the lane counts a page number's tables across pages, so each table
+keeps its own record (``TestRepeatedPageNumbers``). The
 generated docs draw what html never produces: heading levels outside
 1-6 and empty headings, text that starts with a trigger character or
 opens a fence left open across a page end, padded, empty and '|' or
@@ -14,7 +18,7 @@ tables.
 
 import json
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import pdf_extractor_ray.kernel.extract as kx
 import pdf_extractor_ray.kernel.markdown_extract as mx
@@ -190,10 +194,23 @@ _DOC = st.builds(
 )
 
 
+def _repeats_a_table_page(doc: dict) -> bool:
+    """Whether two pages with the same number both hold a table block."""
+    seen = set()
+    for page in doc["pages"]:
+        if any(b["type"] == "table" for b in page["blocks"]):
+            if page["page_number"] in seen:
+                return True
+            seen.add(page["page_number"])
+    return False
+
+
 class TestRowsEqualTwoPass:
     @settings(max_examples=400, deadline=None)
     @given(doc=_DOC, strategy=st.sampled_from(["conservative", "none"]))
     def test_rows_equal_slimmed_envelopes(self, doc, strategy):
+        # the named exception: the oracle's table ids repeat there
+        assume(not _repeats_a_table_page(doc))
         rows, _ = extract_pdf_document(doc, strategy)
         assert rows == _two_pass(doc, strategy)
 
@@ -269,3 +286,78 @@ class TestNoMarkdownRescan:
         monkeypatch.setattr(kx, "extract_from_markdown_text", boom)
         monkeypatch.setattr(pdfshape, "extract_from_markdown_text", boom, raising=False)
         assert _digest(False, lambda i: True) == GOLDEN_ROWS
+
+
+class TestRepeatedPageNumbers:
+    def test_every_table_keeps_its_own_record(self):
+        # two pages both numbered 1: the second page's tables go on
+        # counting, so neither table is lost or emitted twice
+        doc = {"kind": "pdf", "pages": [
+            {"page_number": 1, "blocks": [
+                _table([["A", "B"], ["1", "2"]], 98.0, 0.0, 0.0),
+            ]},
+            {"page_number": 1, "blocks": [
+                _table([["X", "Y", "Z"], ["3", "4", "5"]], 98.0, 0.0, 0.0),
+            ]},
+        ]}
+        _, records = extract_pdf_document(doc, "none")
+        assert [r["id"] for r in records] == ["table_1_0", "table_1_1"]
+        out = extract_document("u", None, json.dumps(doc).encode(), None)
+        tables = [
+            (r["content"].split("\n", 1)[0], json.loads(r["metadata_json"])["record"]["id"])
+            for r in out["elements"]
+            if r["type"] == "table"
+        ]
+        assert tables == [("| A | B |", "table_1_0"), ("| X | Y | Z |", "table_1_1")]
+
+    def test_unique_page_numbers_keep_their_ids(self):
+        doc = {"kind": "pdf", "pages": [
+            {"page_number": n, "blocks": [
+                _table([["A", "B"], ["1", "2"]], 98.0, 0.0, 0.0),
+                _table([["C", "D", "E"], ["1", "2", "3"]], 98.0, 100.0, 0.0),
+            ]}
+            for n in (2, 1)
+        ]}
+        _, records = extract_pdf_document(doc, "none")
+        assert [r["id"] for r in records] == [
+            "table_2_0", "table_2_1", "table_1_0", "table_1_1",
+        ]
+
+
+_DEEP_HEADING = st.builds(
+    lambda level, text, y: {
+        "type": "heading", "level": level, "text": text, "bbox": _bbox(y, 0.0),
+    },
+    st.one_of(st.integers(-2, 8), st.integers(9, 10**7)), _WORD, _Y,
+)
+_DEEP_DOC = st.lists(
+    st.lists(st.one_of(_DEEP_HEADING, _PARA), min_size=1, max_size=4),
+    min_size=1, max_size=3,
+).map(lambda pages: {"kind": "pdf", "pages": [
+    {"page_number": n, "blocks": blocks} for n, blocks in enumerate(pages, 1)
+]})
+
+
+class TestOutputBoundedByInput:
+    @settings(max_examples=200, deadline=None)
+    @given(doc=_DEEP_DOC)
+    def test_heading_level_cannot_amplify(self, doc):
+        # a poison row costs O(its bytes): a claimed heading level of
+        # 10**7 must not become a 10**7-char '#' run
+        payload = json.dumps(doc).encode()
+        out = extract_document("u", None, payload, None)
+        assert out["status"] == "ok"
+        chars = sum(len(r["content"]) for r in out["elements"])
+        assert chars <= 2 * len(payload) + 64
+
+    def test_levels_up_to_the_bound_are_unchanged(self):
+        blocks = [
+            {"type": "heading", "level": level, "text": "t", "bbox": _bbox(y, 0)}
+            for y, level in enumerate([pdfshape.MAX_HEADING_LEVEL, 10**7])
+        ]
+        doc = {"kind": "pdf", "pages": [{"page_number": 1, "blocks": blocks}]}
+        rows, _ = extract_pdf_document(doc)
+        bound = "#" * pdfshape.MAX_HEADING_LEVEL + " t"
+        assert [(r["type"], r["content"]) for r in rows] == [
+            ("text", bound + "\n" + bound),
+        ]

@@ -9,7 +9,7 @@ adversarial inputs the golden fixtures can't enumerate.
 from hypothesis import example, given, settings, strategies as st
 
 from pdf_extractor_ray.kernel.extract import extract_document
-from pdf_extractor_ray.kernel.html_to_md import html_to_markdown, strip_html_tags
+from pdf_extractor_ray.kernel.html_to_md import html_to_markdown
 from pdf_extractor_ray.kernel.tables import (
     merge_multi_page_tables,
     parse_table_data,
@@ -45,7 +45,6 @@ class TestHtmlToMarkdown:
     @given(html=st.text(max_size=1024))
     def test_never_raises(self, html):
         html_to_markdown(html)
-        strip_html_tags(html)
 
     @SETTINGS
     @given(secret=st.text(
