@@ -36,7 +36,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pdf_extractor_ray.kernel import html_to_md
-from pdf_extractor_ray.kernel.content_extract import segment_blocks
+from pdf_extractor_ray.kernel.content_extract import _BLOCK_TAGS, segment_blocks
 from pdf_extractor_ray.kernel.html_to_md import (
     _ANY_WS_RE,
     _DATE_META_KEYS,
@@ -329,18 +329,6 @@ def oracle_json_ld(html):
     return entities, n_bad
 
 
-_BLOCK_TAGS = frozenset(
-    {
-        "p", "div", "h1", "h2", "h3", "h4", "h5", "h6",
-        "li", "ul", "ol", "dl", "dt", "dd",
-        "table", "tr", "td", "th", "thead", "tbody", "tfoot",
-        "blockquote", "pre", "section", "article", "main", "body",
-        "header", "footer", "nav", "aside", "form", "fieldset",
-        "hr", "br",
-    }
-)
-
-
 def oracle_segment_blocks(html):
     from html import unescape
 
@@ -537,6 +525,7 @@ def _in_the_jump_gap(html):
                 return True
             c = html.find(tag, c + 1)
     return False
+
 
 _CONSUMERS = [
     (extract_anchors, oracle_anchors),
