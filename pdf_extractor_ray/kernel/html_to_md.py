@@ -98,11 +98,16 @@ _LANG_CLASS_RE = re.compile(r"language-([\w+-]+)")
 # unbounded `\s*` / name run would let a legal token start inside a
 # jumped region. Tags exceeding the caps are treated as bogus data
 # (documented grammar bound, matching the 4096 attr cap).
+# The CDATA branch's lazy run scans to EOF when no ']]>' follows, so
+# the scan drops the branch where no CDATA section can close any more
+# (_cdata_last, _SCAN_PAST_CDATA_RE): a flood of unclosed CDATA starts
+# cost one such scan each, quadratic in the flood.
+_CDATA_BRANCH = r"|<!\[CDATA\[.*?\]\]>"
 _TOKEN_PATTERN = (
     r"<!--(.*?)-->"
     r"|<!--.*"
-    r"|<!\[CDATA\[.*?\]\]>"
-    r"|<![^>]{0,4096}>"
+    + _CDATA_BRANCH
+    + r"|<![^>]{0,4096}>"
     r"|<\s{0,64}/\s{0,64}([a-zA-Z][a-zA-Z0-9-]{0,512})\s{0,4096}>"
     r"|<\s{0,64}([a-zA-Z][a-zA-Z0-9-]{0,512}+)((?>\"[^\"]*\"|'[^']*'|[^>\"']){0,4096}+)>"
     r"|<\?[^>]{0,4096}>"
@@ -142,13 +147,25 @@ def _parse_attrs(raw: str) -> dict[str, str]:
 # for data only, or a declaration, CDATA, processing instruction or
 # unterminated comment).
 _SCAN_RE = re.compile(r"([^<]*)(?:" + _TOKEN_PATTERN + ")?", re.S)
+# The same step without the CDATA branch, which is exact wherever that
+# branch cannot match.
+_SCAN_PAST_CDATA_RE = re.compile(
+    r"([^<]*)(?:" + _TOKEN_PATTERN.replace(_CDATA_BRANCH, "") + ")?", re.S
+)
 _RAW = frozenset(_RAW_TEXT)
 _CELL = frozenset(("td", "th"))
 _HEADING = frozenset(("h1", "h2", "h3", "h4", "h5", "h6"))
 _MARK = {"b": "**", "strong": "**", "i": "*", "em": "*"}
 
 
-def _bogus_end(html: str, lt: int) -> int:
+def _cdata_last(html: str) -> int:
+    """The last position where a ``<![CDATA[`` can start and still close
+    (its ']]>' starts 9 chars after it, at the earliest); -1 or less
+    when none can."""
+    return html.rfind("]]>") - 9
+
+
+def _bogus_end(html: str, lt: int, cdata_last: int) -> int:
     """The end of the data run that a ``<`` at ``lt`` with no token
     starts: the next ``<`` that could still start one, or EOF.
 
@@ -160,7 +177,9 @@ def _bogus_end(html: str, lt: int) -> int:
     tag floods linear instead of retrying a long match at every '<'.
     Comments match on sight and CDATA sections close on ']]>' (possibly
     far past the '>'), so the run never passes a ``<!--`` or a
-    ``<![CDATA[`` start. It ends at a '<', so an entity is never cut.
+    ``<![CDATA[`` start at or before ``cdata_last`` (:func:`_cdata_last`;
+    a later one cannot close). It ends at a '<', so an entity is never
+    cut.
     """
     gt = html.find(">", lt)
     if gt == -1:
@@ -174,7 +193,9 @@ def _bogus_end(html: str, lt: int) -> int:
         # paid for by the run it ends
         nxt = lt
         while (nxt := html.find("<!", nxt + 1, jump + 1)) != -1:
-            if html.startswith("<!--", nxt) or html.startswith("<![CDATA[", nxt):
+            if html.startswith("<!--", nxt) or (
+                nxt <= cdata_last and html.startswith("<![CDATA[", nxt)
+            ):
                 jump = nxt
                 break
     nxt = html.find("<", jump)
@@ -207,7 +228,8 @@ def _tokens(html: str):
     the stream ends. Comments, declarations, CDATA and processing
     instructions yield nothing. The walk (:func:`html_blocks`) inlines
     the same step."""
-    scan = _SCAN_RE.match
+    cdata_last = _cdata_last(html)
+    scan = (_SCAN_RE if cdata_last >= 0 else _SCAN_PAST_CDATA_RE).match
     pos = 0
     n = len(html)
     while pos < n:
@@ -215,7 +237,7 @@ def _tokens(html: str):
         text, _, close, name, attrs = m.groups()
         end = m.end()
         if end == pos + len(text):
-            end = _bogus_end(html, end)
+            end = _bogus_end(html, end, cdata_last)
             text = html[pos:end]
             close = name = None
         pos = end
@@ -223,7 +245,11 @@ def _tokens(html: str):
             yield _DATA, None, text
         if close is not None:
             yield _CLOSE, close.lower(), None
-        elif name is not None:
+        elif name is None:
+            # not a tag: past cdata_last, no CDATA section can close
+            if pos > cdata_last:
+                scan = _SCAN_PAST_CDATA_RE.match
+        else:
             tag = name.lower()
             yield _OPEN, tag, attrs
             if tag in _RAW:
@@ -269,7 +295,8 @@ def html_blocks(html: str) -> list[tuple[str, str, object]]:
     lang = ""
     cells: list[str] = []  # the open table row
     rows: list[list[str]] = []
-    scan = _SCAN_RE.match
+    cdata_last = _cdata_last(html)
+    scan = (_SCAN_RE if cdata_last >= 0 else _SCAN_PAST_CDATA_RE).match
     pos = 0
     n = len(html)
     # A token's effects — the block kind its inline run becomes (fx: the
@@ -300,7 +327,7 @@ def html_blocks(html: str) -> list[tuple[str, str, object]]:
             end = m.end()
             lt = pos + len(text)
             if end == lt:
-                end = _bogus_end(html, lt)
+                end = _bogus_end(html, lt, cdata_last)
                 text, pos = html[pos:end], end
                 name = close = comment = None
             else:
@@ -388,6 +415,9 @@ def html_blocks(html: str) -> list[tuple[str, str, object]]:
                 if comment is not None and not skip and _PAGE_COMMENT_RE.match(comment):
                     flush = "p"
                     add = ("page", comment, None)
+                elif pos > cdata_last:
+                    # no CDATA section can close from here on
+                    scan = _SCAN_PAST_CDATA_RE.match
                 continue
             tag = close.lower()
         else:

@@ -55,7 +55,7 @@ def parse_sitemap(xml: str) -> list[tuple[str, str]]:
     while (lt := xml.find("<", pos)) != -1:
         m = match(xml, lt)
         if m is None:
-            pos = _bogus_end(xml, lt)
+            pos = _bogus_end(xml, lt, -1)  # CDATA starts no token here
             continue
         if pending is not None and lt > last:
             pending += xml[last:lt]

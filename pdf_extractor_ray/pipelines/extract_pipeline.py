@@ -14,14 +14,33 @@ read to the sink.
 downstream map fused into the same task, or any consumer. A
 ``Dataset`` source keeps ``ds.map_batches(extract_batch, batch_size)``.
 
-``run_resumable_extraction`` submits the units as plain Ray tasks,
+``run_resumable_extraction`` runs the units as plain Ray tasks,
 ``_write_unit``, each writing into its partition's ``part=N.tmp``; the
 driver commits part=N and its lineage sidecar in partition order
 (state/lineage.py). No block moves between its tasks, so it starts no
-Ray Data execution, and with it none of Ray Data's stats and
-autoscaler actors. On ``cc_mix_write`` (1 CPU) those two held 312 of
-the 930 MB peak RSS summed over the driver and Ray processes, and
-set-up fell by 1.8 s without them (median of 10 runs).
+Ray Data execution and none of Ray Data's stats and autoscaler actors.
+
+  - **What a unit task's worker imports.** This module, the stage and
+    the kernel, ``pyarrow.parquet``, ``pyarrow.compute`` and Ray core;
+    ``extract_pages`` imports ``ray.data`` itself. So the worker loads
+    neither Ray Data nor ``pyarrow.dataset`` (nor the ``pyarrow.acero``
+    that ``Table.group_by`` would load). pandas still comes in: pyarrow's
+    ``pa.array`` imports it on first use to test for pandas inputs.
+  - **A streaming writer.** The task writes each 128-row batch as it
+    comes, into one ``pq.ParquetWriter`` per hive directory, under the
+    file names ``pads.write_dataset`` gave (tests/test_unit_writer.py
+    keeps that writer as the oracle).
+  - **A window.** At most ``_window()`` (two per cluster CPU) unit
+    tasks are in flight, and a shard's footer is read when the window
+    reaches it, so the driver holds O(CPUs) tasks however long the
+    listing, and the first partition commits after one shard's
+    footer: 0.012-0.016 s over 2,000 one-row files, where reading
+    every footer and submitting every unit first took 0.50-0.66 s.
+
+  On ``cc_mix_write`` (1 CPU, seed 701, one run per side) the
+  extraction worker's peak RSS (VmHWM) fell from 307 to 260 MB, with the
+  driver at 284 MB either way; the benchmark's ``peak_rss_mb``, their
+  sum, fell from a median of 615 to 564 MB over 10 pairs.
 
 Design notes (measured on the 100k-row bench corpus, where the ~2.5%
 giant documents are ~80% of the bytes, and on the ``cc_mix_write``
@@ -62,17 +81,19 @@ from __future__ import annotations
 import functools
 import os
 import time
-from typing import Callable, Iterator, Optional
+from collections import deque
+from typing import Callable, Iterator, NamedTuple, Optional
+from urllib.parse import quote
 
 import pyarrow as pa
-import pyarrow.dataset as pads
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
-import ray.data
 
 from pdf_extractor_ray.config import CONFIG
+from pdf_extractor_ray.functions.shards import cluster_cpus
 from pdf_extractor_ray.kernel.tables import MERGE_STRATEGIES
-from pdf_extractor_ray.stages.extract_stage import EXTRACT_SCHEMA, extract_batch
+from pdf_extractor_ray.stages.extract_stage import extract_batch
 from pdf_extractor_ray.state.lineage import (
     commit_partition,
     completed_partitions,
@@ -86,6 +107,8 @@ __all__ = ["extract_pages", "run_resumable_extraction", "GIANT_PAYLOAD_BYTES"]
 GIANT_PAYLOAD_BYTES = CONFIG.giant_payload_bytes
 
 _PAGE_COLUMNS = ["url", "warc_ts", "html", "text", "lang"]
+# the directory name hive partitioning gives a null value
+_HIVE_NULL = "__HIVE_DEFAULT_PARTITION__"
 
 
 def _extract_fn(merge_strategy: str, finalize: bool = False) -> Callable[[pa.Table], pa.Table]:
@@ -155,30 +178,79 @@ def _extract_units(
         yield from _extract_unit(path, rg, extract, batch_size)
 
 
+def _hive_groups(
+    table: pa.Table, partition_cols: Optional[list]
+) -> Iterator[tuple[str, pa.Table]]:
+    """``table``'s rows by hive directory: ``col=value/...`` for each
+    distinct tuple of ``partition_cols`` values (Arrow's string cast,
+    URI-quoted; null is ``__HIVE_DEFAULT_PARTITION__``), in first-seen
+    order, without the partition columns. No partition columns: one
+    group, ``""``, holding every row."""
+    if not partition_cols:
+        yield "", table
+        return
+    keys = zip(*(pc.cast(table[c], pa.string()).to_pylist() for c in partition_cols))
+    groups: dict[tuple, list[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    rows = table.drop_columns(partition_cols)
+    for key, idx in groups.items():
+        subdir = "/".join(
+            f"{col}={_HIVE_NULL if v is None else quote(v, safe='')}"
+            for col, v in zip(partition_cols, key)
+        )
+        yield subdir, rows if len(groups) == 1 else rows.take(idx)
+
+
 # Ray Data's retry policy for its own tasks (ray/data/_internal/remote_fn.py)
 @ray.remote(max_retries=-1, retry_exceptions=[ray.exceptions.RaySystemError])
 def _write_unit(
     unit: dict, extract: Callable, batch_size: Optional[int], partition_cols: Optional[list]
 ) -> float:
     """Extract one unit into its partition's ``part=N.tmp`` directory and
-    return the seconds it took. File names are fixed per unit, so a
-    retried task overwrites its own files."""
+    return the seconds it took.
+
+    Each batch is written as it comes: one ``ParquetWriter`` per hive
+    directory the unit's rows go to (``part=N.tmp`` itself without
+    ``partition_cols``), opened on its first rows. The file name,
+    ``unit-NNNNN-0.parquet``, is fixed per unit, so a retried task
+    truncates and rewrites its own files. A unit with no rows writes
+    none."""
     t0 = time.perf_counter()
-    batches = (
-        rb
-        for out in _extract_unit(unit["path"], unit["row_group"], extract, batch_size)
-        for rb in out.to_batches()
-    )
-    pads.write_dataset(
-        pa.RecordBatchReader.from_batches(EXTRACT_SCHEMA, batches),
-        unit["dir"],
-        format="parquet",
-        basename_template=f"unit-{unit['unit']:05d}-{{i}}.parquet",
-        partitioning=partition_cols,
-        partitioning_flavor="hive",
-        existing_data_behavior="overwrite_or_ignore",
-    )
+    name = f"unit-{unit['unit']:05d}-0.parquet"
+    writers: dict[str, pq.ParquetWriter] = {}
+    try:
+        for out in _extract_unit(unit["path"], unit["row_group"], extract, batch_size):
+            if not out.num_rows:
+                continue
+            for subdir, rows in _hive_groups(out, partition_cols):
+                writer = writers.get(subdir)
+                if writer is None:
+                    path = os.path.join(unit["dir"], subdir, name)
+                    os.makedirs(os.path.dirname(path), exist_ok=True)
+                    writer = writers[subdir] = pq.ParquetWriter(path, rows.schema)
+                writer.write_table(rows)
+    finally:
+        for writer in writers.values():
+            writer.close()
     return time.perf_counter() - t0
+
+
+class _Listed(NamedTuple):
+    """A shard whose footer has been read and whose partition is not yet
+    committed."""
+
+    pid: int
+    files: list
+    units: deque  # (path, row group, part=N.tmp) of the units not yet submitted
+    refs: list  # of the units submitted
+
+
+def _window() -> int:
+    """The unit tasks ``run_resumable_extraction`` keeps in flight: two
+    per cluster CPU, so a CPU that finishes a task finds the next one
+    queued while the driver refills."""
+    return 2 * max(1, cluster_cpus())
 
 
 def extract_pages(
@@ -197,6 +269,8 @@ def extract_pages(
     fuses into the same tasks. An unknown ``merge_strategy`` raises
     ``ValueError`` before anything is read.
     """
+    import ray.data  # here, so the unit tasks' workers never load Ray Data
+
     extract = _extract_fn(merge_strategy, finalize)
     if isinstance(source, ray.data.Dataset):
         return source.map_batches(extract, batch_format="pyarrow", batch_size=batch_size)
@@ -228,13 +302,15 @@ def run_resumable_extraction(
     committed partition (north rule). See state/lineage.py.
 
     The row groups of every pending shard run as plain Ray tasks, one
-    each, writing into ``part={pid}.tmp``. Partition N is committed
-    once its last task has finished and every pending partition before
-    it is committed, so a failed task leaves no committed partition at
-    or after its own; the other tasks are cancelled and have ended
-    before its error is raised. A shard whose footer cannot be read
-    ends the listing: the shards before it run and commit, then its
-    error is raised.
+    each, writing into ``part={pid}.tmp``. At most ``_window()`` of
+    them (two per cluster CPU) are in flight; a shard's footer is read
+    and its ``part={pid}.tmp`` prepared when the window reaches it.
+    Partition N is committed once its last task has finished and every
+    pending partition before it is committed, so a failed task leaves
+    no committed partition at or after its own; the tasks in flight are
+    cancelled and have ended before its error is raised. A shard whose
+    footer cannot be read ends the listing: the shards before it run
+    and commit, then its error is raised.
     """
     batch_size = extract_kwargs.pop("batch_size", 128)
     extract = _extract_fn(merge_strategy, **extract_kwargs)
@@ -244,41 +320,55 @@ def run_resumable_extraction(
         for pid, i in enumerate(range(0, len(input_files), shard_size))
     ]
     skipped = [pid for pid, _ in shards if pid in done]
-    pending, units, failure = [], [], None
-    for pid, files in shards:
-        if pid in done:
-            continue
-        try:
-            groups = _row_groups(files)
-        except (OSError, pa.ArrowException) as exc:
-            failure = exc
-            break
-        pending.append((pid, files, len(groups)))
-        tmp_dir = prepare_partition(out_dir, pid)
-        units += [
-            {"unit": len(units) + k, "path": path, "row_group": rg, "dir": tmp_dir}
-            for k, (path, rg) in enumerate(groups)
-        ]
-
-    # A partition's units are contiguous and are awaited in order, so
-    # partition N commits once its last unit is done and after N-1.
-    refs = [_write_unit.remote(u, extract, batch_size, partition_cols) for u in units]
-    ran, first = [], 0
+    todo = iter([(pid, files) for pid, files in shards if pid not in done])
+    listed: deque[_Listed] = deque()  # in partition order
+    in_flight: set = set()
+    window, n_units, ran, failure = None, 0, [], None
     try:
-        for pid, files, n in pending:
-            part = refs[first : first + n]
-            first += n
-            # an empty shard has no task, and ray.get([]) would start Ray
-            wall_s = sum(ray.get(part)) if part else 0.0
-            commit_partition(out_dir, pid, input_files=files, wall_s=wall_s)
-            ran.append(pid)
+        while True:
+            # Submit until the window is full, listing the next shard's
+            # footer and preparing its part=N.tmp once the last listed
+            # shard has no unit left to submit.
+            while failure is None and (window is None or len(in_flight) < window):
+                if not listed or not listed[-1].units:
+                    pid, files = next(todo, (None, None))
+                    if pid is None:
+                        break
+                    try:
+                        groups = _row_groups(files)
+                    except (OSError, pa.ArrowException) as exc:
+                        failure = exc
+                        break
+                    tmp_dir = prepare_partition(out_dir, pid)
+                    units = deque((path, rg, tmp_dir) for path, rg in groups)
+                    listed.append(_Listed(pid, files, units, []))
+                    continue
+                shard = listed[-1]
+                path, rg, tmp_dir = shard.units.popleft()
+                unit = {"unit": n_units, "path": path, "row_group": rg, "dir": tmp_dir}
+                shard.refs.append(_write_unit.remote(unit, extract, batch_size, partition_cols))
+                in_flight.add(shard.refs[-1])
+                n_units += 1
+                if window is None:  # Ray runs now: the first submit starts it
+                    window = _window()
+            # partition N commits once its last unit is done and after N-1
+            while listed and not listed[0].units and in_flight.isdisjoint(listed[0].refs):
+                shard = listed.popleft()
+                # an empty shard has no task, and ray.get([]) would start Ray
+                wall_s = sum(ray.get(shard.refs)) if shard.refs else 0.0
+                commit_partition(out_dir, shard.pid, input_files=shard.files, wall_s=wall_s)
+                ran.append(shard.pid)
+            if not in_flight:
+                break
+            ready, _ = ray.wait(list(in_flight), num_returns=1)
+            in_flight.difference_update(ready)
     except BaseException:
         # end every task before raising: none may write into a part=N.tmp
         # once this call has returned
-        for ref in refs:
+        for ref in in_flight:
             ray.cancel(ref)
-        if refs:
-            ray.wait(refs, num_returns=len(refs))
+        if in_flight:
+            ray.wait(list(in_flight), num_returns=len(in_flight))
         raise
     if failure is not None:
         raise failure

@@ -12,14 +12,17 @@ Commit protocol, in two steps:
   - ``prepare_partition`` removes what an earlier run left of partition
     N without committing it (a ``part=N.tmp`` directory, or a ``part=N``
     with no sidecar) and makes an empty ``part=N.tmp``. Rows are written
-    there, by any number of tasks: ``run_resumable_extraction``'s unit
-    tasks, plain Ray tasks, each write their own files into it.
+    there, by any number of tasks: ``run_resumable_extraction`` prepares
+    a partition when its window of unit tasks reaches the shard, and
+    each unit task (a plain Ray task) streams its rows into its own
+    files, one ``unit-NNNNN-0.parquet`` per hive directory.
   - ``commit_partition`` runs in the calling process once every writer of
     partition N has finished. It computes the sidecar from the *written*
     files (cheap single-column re-read of ``url``), atomically renames
     the directory to ``part=N`` and only then lands the sidecar. When a unit
-    task fails, ``run_resumable_extraction`` ends every other one before
-    raising, so no ``part=N.tmp`` changes after it has returned.
+    task fails, ``run_resumable_extraction`` cancels every task in
+    flight and waits for them before raising, so no ``part=N.tmp``
+    changes after it has returned.
 
 ``write_partition_with_lineage`` is both steps around one
 ``ds.write_parquet``. A crash mid-partition therefore leaves either a

@@ -627,3 +627,23 @@ class TestTagFloodsAreLinear:
                 parse(html)
                 spent = time.process_time() - t0
                 assert spent < 1.0, (parse.__name__, tail, spent)
+
+
+class TestCdataFloodsAreLinear:
+    # A '<![CDATA[' past the last ']]>' cannot close, so the scan drops
+    # the CDATA branch there and the fail-jump passes such starts; each
+    # used to scan to EOF once, quadratic in the flood.
+    FLOODS = {
+        "unclosed, one '>'": "<![CDATA[" * 10_000 + ">",
+        "'>' after each": "<![CDATA[>" * 10_000,
+        "']]>' before": "]]>" + "<![CDATA[" * 10_000 + ">",
+        "closed section before": "<p>a<![CDATA[x]]>b</p>" + "<![CDATA[" * 10_000 + ">",
+    }
+
+    def test_each_parser_under_a_second(self):
+        for name, html in self.FLOODS.items():
+            for parse in [*(new for new, _ in _CONSUMERS), html_blocks]:
+                t0 = time.process_time()
+                parse(html)
+                spent = time.process_time() - t0
+                assert spent < 1.0, (parse.__name__, name, spent)
