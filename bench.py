@@ -112,69 +112,12 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
     extract_s = min(rep_times)
 
     # ---- representative query pipelines over the sf tables
-    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    import __ray_entry__ as entrymod
+    from pdf_extractor_ray import gate
 
-    qs = entrymod.queries()
+    qs = gate.queries()
     query_times: dict[str, float] = {}
-    query_names = (
-        (
-            "q1_pricing",
-            "q3_top_orders",
-            "events_window",
-            "distinct_users",
-            "dedup_exact",
-            "dedup_minhash",
-            "text_stats",
-            "knn_brute",
-            "knn_ivf",
-            "url_dedup",
-            "word_topk",
-            "sessionize",
-            "asof_orders",
-            "dup_ngram_spans",
-            "quality_topk",
-            "range_band",
-            "bm25",
-            "token_budget",
-            "crawl_refresh",
-            "strip_dup_spans",
-            "anchor_stats",
-            "token_chunks",
-            "dsir_select",
-            "hybrid_rrf",
-            "incremental_minhash",
-            "image_decode",
-            "audio_features",
-            "video_frames",
-            # graph family: the *_indexed gate names run the same
-            # shard-index engines as their base names
-            "pagerank_indexed",
-            "hits_indexed",
-            "triangles_indexed",
-            "cosine_pairs",
-            "random_walks",
-            "kmeans_lloyd",
-            "kcore_indexed",
-            "mis",
-            "bigram_familiarity",
-            "market_share",
-            "nation_pair_volume",
-            "mixture_select",
-            "bitext_mine",
-            "bin_export",
-            "fim_chunks",
-            "kcenter_coreset",
-            "graph_ann",
-            "skew_join_events",
-            # round-5 additions: the flagship seven-stage composite
-            # and the exact any-length substring-dedup spans
-            "pretrain_corpus",
-            "suffix_dup_spans",
-        )
-        if not os.environ.get("BENCH_SKIP_QUERIES")
-        else ()
-    )
+    skip = os.environ.get("BENCH_SKIP_QUERIES")
+    query_names = () if skip else gate.bench_queries()
     for name in query_names:
         t0 = time.monotonic()
         res = qs[name](sf_dir)

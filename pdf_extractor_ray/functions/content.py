@@ -166,7 +166,7 @@ def page_html_tables(
                 else h
             )
             ti = 0
-            for el in extract_html_rows(s, count_tokens=False):
+            for el in extract_html_rows(s):
                 if el["type"] != "table":
                     continue
                 parsed = json.loads(el["metadata_json"])["table"]

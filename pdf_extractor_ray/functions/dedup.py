@@ -305,17 +305,15 @@ def _verify_side_cached(side_ref, id_col: str, text_col: str) -> dict:
 _NGRAM_P = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _batch_ngram_hashes(texts: list, n: int) -> list[np.ndarray]:
-    """Per-doc uint64 n-gram position hashes for a whole batch.
-
-    ONE vectorized ``pandas.util.hash_array`` call hashes every word
-    in the batch (SipHash at C speed — the per-ngram md5 loop this
-    replaced cost ~25 s of worker CPU per 16M positions), then each
-    doc's n-gram hash is a position-weighted uint64 polynomial over a
-    sliding window of its word hashes. The span oracle groups on the
-    n-gram STRING, so the hash only needs to be deterministic and
-    collision-sparse (64-bit — ~1e-5 collision odds at 16M distinct
-    n-grams), not SQL-replayable."""
+def _batch_word_hashes(
+    texts: list, n: int
+) -> tuple[list[list[str]], np.ndarray, np.ndarray]:
+    """The word-hash step of the n-gram and shingle kernels: each doc's
+    lowercased words, ONE vectorized ``pandas.util.hash_array`` call
+    over every word in the batch (SipHash at C speed; uint64, docs
+    concatenated in order), and the ``n`` position weights
+    ``_NGRAM_P ** j`` that combine a window of word hashes into one
+    uint64 polynomial."""
     import pandas as pd
 
     per_doc_words = [_WORD_RE.findall((t or "").lower()) for t in texts]
@@ -324,7 +322,20 @@ def _batch_ngram_hashes(texts: list, n: int) -> list[np.ndarray]:
         wh = pd.util.hash_array(np.array(flat, dtype=object), categorize=False)
     else:
         wh = np.empty(0, dtype=np.uint64)
-    powers = _NGRAM_P ** np.arange(n, dtype=np.uint64)
+    return per_doc_words, wh, _NGRAM_P ** np.arange(n, dtype=np.uint64)
+
+
+def _batch_ngram_hashes(texts: list, n: int) -> list[np.ndarray]:
+    """Per-doc uint64 n-gram position hashes for a whole batch.
+
+    Each doc's n-gram hash is a position-weighted uint64 polynomial
+    over a sliding window of its word hashes (`_batch_word_hashes`; the
+    per-ngram md5 loop this replaced cost ~25 s of worker CPU per 16M
+    positions). The span oracle groups on the n-gram STRING, so the
+    hash only needs to be deterministic and collision-sparse (64-bit —
+    ~1e-5 collision odds at 16M distinct n-grams), not
+    SQL-replayable."""
+    per_doc_words, wh, powers = _batch_word_hashes(texts, n)
     out: list[np.ndarray] = []
     pos = 0
     for ws in per_doc_words:
@@ -444,6 +455,67 @@ def dup_ngram_span_stats(
     )
 
 
+def _dup_positions(
+    ds: ray.data.Dataset, n: int, text_col: str, id_col: str, n_buckets: int
+) -> ray.data.Dataset:
+    """(id_col, pos) of every word n-gram window that occurs more than
+    once corpus-wide: one row per window position (its 63-bit hash
+    ``h``) goes into a coarse hash-bucket exchange that totals each
+    hash and keeps only duplicated positions."""
+
+    def emit_positions(batch: pa.Table) -> pa.Table:
+        ids_out, hs_out, pos_out = [], [], []
+        per_doc = _batch_ngram_hashes(batch[text_col].to_pylist(), n)
+        for i, hs64 in zip(batch[id_col].to_pylist(), per_doc):
+            # a doc shorter than n words has no window
+            if len(hs64) == 0:
+                continue
+            hs = hs64.view(np.int64) & np.int64(0x7FFFFFFFFFFFFFFF)
+            ids_out.append(np.full(len(hs), i, dtype=np.int64))
+            hs_out.append(hs)
+            pos_out.append(np.arange(len(hs), dtype=np.int64))
+        if not ids_out:
+            return pa.table(
+                {
+                    "h": pa.array([], pa.int64()),
+                    id_col: pa.array([], pa.int64()),
+                    "pos": pa.array([], pa.int64()),
+                }
+            )
+        hs_np = np.concatenate(hs_out)
+        return pa.table(
+            {
+                "h": pa.array(hs_np),
+                id_col: pa.array(np.concatenate(ids_out)),
+                "pos": pa.array(np.concatenate(pos_out)),
+            }
+        )
+
+    def dup_positions(group: pa.Table) -> pa.Table:
+        # all-numeric group: pyarrow format, zero-copy numpy views
+        h = group["h"].to_numpy(zero_copy_only=False)
+        _, hinv, tot = np.unique(h, return_inverse=True, return_counts=True)
+        keep = tot[hinv] > 1
+        ids = group[id_col].to_numpy(zero_copy_only=False)[keep]
+        return pa.table(
+            {
+                id_col: pa.array(ids),
+                "pos": pa.array(
+                    group["pos"].to_numpy(zero_copy_only=False)[keep]
+                ),
+            }
+        )
+
+    i64 = pa.int64()
+    return cogroup(
+        {"group": (ds.map_batches(emit_positions, batch_format="pyarrow"), "h")},
+        dup_positions,
+        pa.schema([(id_col, i64), ("pos", i64)]),
+        n_buckets=n_buckets,
+        coalesce=True,
+    )
+
+
 def exact_dup_spans(
     ds: ray.data.Dataset,
     min_len: int = 50,
@@ -498,50 +570,6 @@ def exact_dup_spans(
         n_buckets = 8 * exchange_width()
     doc_buckets = 2 * exchange_width()
 
-    def emit_positions(batch: pa.Table) -> pa.Table:
-        ids_out, hs_out, pos_out = [], [], []
-        per_doc = _batch_ngram_hashes(batch[text_col].to_pylist(), n)
-        for i, hs64 in zip(batch[id_col].to_pylist(), per_doc):
-            # _batch_ngram_hashes returns no windows for a doc shorter
-            # than n words: it has no length->=-L substring
-            if len(hs64) == 0:
-                continue
-            hs = hs64.view(np.int64) & np.int64(0x7FFFFFFFFFFFFFFF)
-            ids_out.append(np.full(len(hs), i, dtype=np.int64))
-            hs_out.append(hs)
-            pos_out.append(np.arange(len(hs), dtype=np.int64))
-        if not ids_out:
-            return pa.table(
-                {
-                    "h": pa.array([], pa.int64()),
-                    id_col: pa.array([], pa.int64()),
-                    "pos": pa.array([], pa.int64()),
-                }
-            )
-        hs_np = np.concatenate(hs_out)
-        return pa.table(
-            {
-                "h": pa.array(hs_np),
-                id_col: pa.array(np.concatenate(ids_out)),
-                "pos": pa.array(np.concatenate(pos_out)),
-            }
-        )
-
-    def dup_positions(group: pa.Table) -> pa.Table:
-        # all-numeric group: pyarrow format, zero-copy numpy views
-        h = group["h"].to_numpy(zero_copy_only=False)
-        _, hinv, tot = np.unique(h, return_inverse=True, return_counts=True)
-        keep = tot[hinv] > 1
-        ids = group[id_col].to_numpy(zero_copy_only=False)[keep]
-        return pa.table(
-            {
-                id_col: pa.array(ids),
-                "pos": pa.array(
-                    group["pos"].to_numpy(zero_copy_only=False)[keep]
-                ),
-            }
-        )
-
     def runs(group: pa.Table) -> pa.Table:
         ids_all = group[id_col].to_numpy(zero_copy_only=False)
         pos_all = group["pos"].to_numpy(zero_copy_only=False)
@@ -572,13 +600,7 @@ def exact_dup_spans(
         )
 
     i64 = pa.int64()
-    dups = cogroup(
-        {"group": (ds.map_batches(emit_positions, batch_format="pyarrow"), "h")},
-        dup_positions,
-        pa.schema([(id_col, i64), ("pos", i64)]),
-        n_buckets=n_buckets,
-        coalesce=True,
-    )
+    dups = _dup_positions(ds, n, text_col, id_col, n_buckets)
     return cogroup(
         {"group": (dups, id_col)},
         runs,
@@ -630,51 +652,6 @@ def strip_dup_spans(
     # text pass disagree — materialize once unconditionally (same
     # contract as sequence_pack)
     ds = ds.materialize()
-
-    def emit_positions(batch: pa.Table) -> pa.Table:
-        ids_out: list[np.ndarray] = []
-        hs_out: list[np.ndarray] = []
-        pos_out: list[np.ndarray] = []
-        per_doc = _batch_ngram_hashes(batch[text_col].to_pylist(), n)
-        for i, hs64 in zip(batch[id_col].to_pylist(), per_doc):
-            if len(hs64) == 0:
-                continue
-            hs = hs64.view(np.int64) & np.int64(0x7FFFFFFFFFFFFFFF)
-            ids_out.append(np.full(len(hs), i, dtype=np.int64))
-            hs_out.append(hs)
-            pos_out.append(np.arange(len(hs), dtype=np.int64))
-        if not ids_out:
-            return pa.table(
-                {
-                    "h": pa.array([], pa.int64()),
-                    id_col: pa.array([], pa.int64()),
-                    "pos": pa.array([], pa.int64()),
-                }
-            )
-        hs_np = np.concatenate(hs_out)
-        return pa.table(
-            {
-                "h": pa.array(hs_np),
-                id_col: pa.array(np.concatenate(ids_out)),
-                "pos": pa.array(np.concatenate(pos_out)),
-            }
-        )
-
-    def dup_positions(group: pa.Table) -> pa.Table:
-        # pyarrow group (r4 verdict "What's wrong #2"): every column
-        # here is numeric — zero-copy numpy views, no pandas block
-        h = group["h"].to_numpy(zero_copy_only=False)
-        _, hinv, tot = np.unique(h, return_inverse=True, return_counts=True)
-        keep = tot[hinv] > 1
-        ids = group[id_col].to_numpy(zero_copy_only=False)[keep]
-        return pa.table(
-            {
-                id_col: pa.array(ids),
-                "pos": pa.array(
-                    group["pos"].to_numpy(zero_copy_only=False)[keep]
-                ),
-            }
-        )
 
     def tag_texts(batch: pa.Table) -> pa.Table:
         return pa.table({id_col: batch[id_col], text_col: batch[text_col]})
@@ -741,13 +718,7 @@ def strip_dup_spans(
 
     i64 = pa.int64()
     pos_schema = pa.schema([(id_col, i64), ("pos", i64)])
-    dup_pos = cogroup(
-        {"group": (ds.map_batches(emit_positions, batch_format="pyarrow"), "h")},
-        dup_positions,
-        pos_schema,
-        n_buckets=n_buckets,
-        coalesce=True,
-    )
+    dup_pos = _dup_positions(ds, n, text_col, id_col, n_buckets)
     return cogroup(
         {
             "dup": (dup_pos, id_col, pos_schema),
@@ -782,15 +753,7 @@ def _batch_shingle_hashes(texts: list, k: int = 3) -> list[np.ndarray]:
     (~1e-5 odds at 16M distinct shingles). Docs shorter than ``k``
     words hash their whole word sequence as one shingle; empty docs
     hash to the single constant 0 (matching the old ``crc32(b"")``)."""
-    import pandas as pd
-
-    per_doc_words = [_WORD_RE.findall((t or "").lower()) for t in texts]
-    flat = [w for ws in per_doc_words for w in ws]
-    if flat:
-        wh = pd.util.hash_array(np.array(flat, dtype=object), categorize=False)
-    else:
-        wh = np.empty(0, dtype=np.uint64)
-    powers = _NGRAM_P ** np.arange(k, dtype=np.uint64)
+    per_doc_words, wh, powers = _batch_word_hashes(texts, k)
     mask = np.int64(0x7FFFFFFFFFFFFFFF)
     out: list[np.ndarray] = []
     pos = 0

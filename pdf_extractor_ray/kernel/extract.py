@@ -124,7 +124,7 @@ def extract_document(
                 "section_hash_path": [], "metadata_json": '{"source": "json"}',
             }]
         elif kind == "html":
-            elements = extract_html_rows(route.text, count_tokens=False)
+            elements = extract_html_rows(route.text)
         elif kind == "text":
             elements = extract_text_rows(route.text)
         # kind == "empty": zero elements, status stays ok

@@ -840,18 +840,17 @@ def extract_text_rows(markdown: str) -> list[dict[str, Any]]:
     return scanner.finish(len(lines))
 
 
-def extract_html_rows(html: str, *, count_tokens: bool = True) -> list[dict[str, Any]]:
+def extract_html_rows(html: str) -> list[dict[str, Any]]:
     """The html lane: the blocks of the one tag walk
     (``html_to_md.html_blocks``) fed straight into the scanner, as
-    ``ELEMENT_FIELDS`` rows. Equal to slimming
-    ``extract_from_markdown_text(html_to_markdown(html))``, without the
-    markdown string, the line split or the envelope dicts.
-    ``count_tokens`` as in ``extract_from_markdown_text``."""
+    ``ELEMENT_FIELDS`` rows, uncounted. Equal to slimming
+    ``extract_from_markdown_text(html_to_markdown(html),
+    count_tokens=False)``, without the markdown string, the line split
+    or the envelope dicts."""
     scanner = _Scanner(rows=True)
     blocks = html_blocks(html)
     lineno = end = 1
     for k, (kind, text, extra) in enumerate(blocks, 1):
         end = scanner.block(kind, text, extra, lineno, k == len(blocks))
         lineno = end + 2
-    out = scanner.finish(end)
-    return _count(out) if count_tokens else out
+    return scanner.finish(end)

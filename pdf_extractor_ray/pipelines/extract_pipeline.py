@@ -312,6 +312,8 @@ def run_resumable_extraction(
     footer cannot be read ends the listing: the shards before it run
     and commit, then its error is raised.
     """
+    if shard_size < 1:
+        raise ValueError(f"shard_size must be >= 1, got {shard_size}")
     batch_size = extract_kwargs.pop("batch_size", 128)
     extract = _extract_fn(merge_strategy, **extract_kwargs)
     done = completed_partitions(out_dir)

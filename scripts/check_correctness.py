@@ -1,8 +1,10 @@
 """Local stand-in for the driver's correctness gate.
 
-Runs every ``queries()`` entry at a given sf_dir, converts the result to
-pandas, and for entries with an ``oracle_sql()`` compares row count,
-sorted column names, and order-insensitive values against DuckDB.
+Runs every registered gate query (``pdf_extractor_ray/gate/``) at a
+given sf_dir, converts the result to pandas, and for entries with an
+oracle compares row count, sorted column names, and order-insensitive
+values against DuckDB. Each line gives the Ray time and the oracle time
+apart; the last lines give their totals.
 
 Usage: python scripts/check_correctness.py [sf_dir] [query ...]
 (with query names given, only those entries run)
@@ -58,7 +60,7 @@ def main(sf_dir: str, only: list[str] | None = None) -> int:
 
     DataContext.get_current().enable_progress_bars = False
 
-    import __ray_entry__ as entrymod
+    from pdf_extractor_ray import gate
 
     con = duckdb.connect()
     for t in TABLES:
@@ -66,8 +68,8 @@ def main(sf_dir: str, only: list[str] | None = None) -> int:
             f"CREATE VIEW {t} AS SELECT * FROM '{sf_dir}/{t}.parquet'"
         )
 
-    qs = entrymod.queries()
-    oracles = entrymod.oracle_sql()
+    qs = gate.queries()
+    oracles = gate.oracle_sql()
     if only:
         unknown = [n for n in only if n not in qs]
         if unknown:
@@ -75,6 +77,7 @@ def main(sf_dir: str, only: list[str] | None = None) -> int:
             return 1
         qs = {n: qs[n] for n in only}
     failures = []
+    ray_total = duck_total = 0.0
     for name, fn in qs.items():
         t0 = time.monotonic()
         try:
@@ -83,12 +86,16 @@ def main(sf_dir: str, only: list[str] | None = None) -> int:
             failures.append(name)
             print(f"FAIL  {name}: query raised {type(exc).__name__}: {exc}")
             continue
-        wall = time.monotonic() - t0
+        ray_s = time.monotonic() - t0
+        ray_total += ray_s
         if name not in oracles:
             print(f"ROWS  {name}: {len(got)} rows, {len(got.columns)} cols "
-                  f"({wall:.1f}s) [no oracle]")
+                  f"(ray {ray_s:.1f}s) [no oracle]")
             continue
+        t0 = time.monotonic()
         want = canon(con.sql(oracles[name]).df())
+        duck_s = time.monotonic() - t0
+        duck_total += duck_s
         status = "OK  "
         if list(got.columns) != list(want.columns):
             status = "FAIL(cols)"
@@ -105,8 +112,10 @@ def main(sf_dir: str, only: list[str] | None = None) -> int:
         if status != "OK  ":
             failures.append(name)
         print(f"{status}  {name}: ray={len(got)}r duck={len(want)}r "
-              f"cols={list(got.columns)} ({wall:.1f}s)")
-    print("\nFAILURES:", failures or "none")
+              f"cols={list(got.columns)} (ray {ray_s:.1f}s, "
+              f"oracle {duck_s:.1f}s)")
+    print(f"\nTOTAL ray {ray_total:.1f}s, oracle {duck_total:.1f}s")
+    print("FAILURES:", failures or "none")
     return 1 if failures else 0
 
 

@@ -29,9 +29,9 @@ def main(name: str, sf_dir: str) -> int:
 
     DataContext.get_current().enable_progress_bars = False
 
-    import __ray_entry__ as entrymod
+    from pdf_extractor_ray import gate
 
-    fn = entrymod.queries()[name]
+    fn = gate.queries()[name]
     t0 = time.monotonic()
     res = fn(sf_dir)
     import ray.data as rd

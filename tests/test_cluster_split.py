@@ -20,8 +20,9 @@ class TestClusterSafeSplit:
 
         from pdf_extractor_ray.functions.dedup import minhash_dedup_pairs
         from pdf_extractor_ray.functions.graph import connected_components
+        from pdf_extractor_ray.gate.fixtures import _docs_with_dups
 
-        docs = E._docs_with_dups(sf)
+        docs = _docs_with_dups(sf)
         clusters = connected_components(
             minhash_dedup_pairs(docs, threshold=0.8)
         ).to_pandas()

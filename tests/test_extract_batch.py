@@ -68,7 +68,6 @@ def test_batch_equals_rows(finalize):
 def test_entry_points_return_counted_elements():
     html = make_page_row(0, 3)["html"].decode()
     for elements in (
-        extract_html_rows(html),
         extract_from_markdown_text(html_to_markdown(html)),
         extract_document("u", None, html.encode(), None)["elements"],
     ):
@@ -82,6 +81,9 @@ def test_uncounted_rows_leave_counts_to_the_caller():
     row = extract_document("u", None, html, None, count_tokens=False)
     assert row["n_tokens"] is None
     assert {e["token_count"] for e in row["elements"]} == {None}
+    rows = extract_html_rows(html.decode())
+    assert rows
+    assert {e["token_count"] for e in rows} == {None}
 
 
 def test_lone_surrogate_row_is_counted():

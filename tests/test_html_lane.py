@@ -110,7 +110,9 @@ def _slim_element(element: dict) -> dict:
 def _two_pass(html: str) -> list[dict]:
     return [
         _slim_element(e)
-        for e in extract_from_markdown_text(html_to_markdown(html))
+        for e in extract_from_markdown_text(
+            html_to_markdown(html), count_tokens=False
+        )
     ]
 
 

@@ -113,3 +113,17 @@ def test_poison_rows_of_every_kind_through_ray(ray_session, tmp_path):
             assert (r["status"], r["error"]) == (
                 want[r["url"]]["status"], want[r["url"]]["error"]
             ), r["url"]
+
+
+@pytest.mark.parametrize("shard_size", [0, -1])
+def test_shard_size_below_one_is_refused_before_any_work(tmp_path, shard_size):
+    # range() with a step below 1 lists no shard (-1) or raises its own
+    # error (0): the driver refuses both before it reads or creates
+    # anything
+    from pdf_extractor_ray.pipelines import run_resumable_extraction
+
+    files = write_pages_parquet(str(tmp_path / "pages"), 4, rows_per_file=2)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="shard_size"):
+        run_resumable_extraction(files, str(out), shard_size=shard_size)
+    assert not (out / "_lineage").exists()

@@ -41,7 +41,7 @@ class TestKmeansLloyd:
     def test_matches_chained_cte_replay(self, ray_session):
         import duckdb
         from pdf_extractor_ray.functions.similarity import kmeans_lloyd
-        import __ray_entry__ as entry
+        from pdf_extractor_ray.gate.vectors import _kmeans_sql
 
         sf = "/root/testdata/sf0.001"
         emb = ray.data.read_parquet(f"{sf}/embeddings.parquet",
@@ -55,7 +55,7 @@ class TestKmeansLloyd:
             f"CREATE VIEW embeddings AS SELECT * FROM "
             f"parquet_scan('{sf}/embeddings.parquet')")
         want = (
-            con.execute(entry._kmeans_sql(8, 2)).df()
+            con.execute(_kmeans_sql(8, 2)).df()
             .sort_values("vec_id").reset_index(drop=True)
         )
         pd.testing.assert_frame_equal(

@@ -1,6 +1,6 @@
 """The DuckDB gate's token pattern against the kernel's counter.
 
-``__ray_entry__._TOKEN_PAT_SQL`` is the kernel's ``_TOKEN_RE`` without
+``pdf_extractor_ray.gate.fixtures._TOKEN_PAT_SQL`` is the kernel's ``_TOKEN_RE`` without
 its lookahead branch and with RE2's narrower ``\\s``. The two count alike
 only on text whose whitespace is ``[\\t\\n\\f\\r ]`` in runs of one char;
 the gate relies on its documents meeting that. This checks the
@@ -14,7 +14,7 @@ import duckdb
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-import __ray_entry__ as entry
+from pdf_extractor_ray.gate.fixtures import _TOKEN_PAT_SQL
 from pdf_extractor_ray.kernel.textutils import token_count, token_counts
 
 # TESTDATA.md's sf0.01 tier (the query gate's), at the fixed location it
@@ -26,7 +26,7 @@ def _duckdb_counts(texts: list[str]) -> list[int]:
     con = duckdb.connect()
     con.register("t", pa.table({"i": list(range(len(texts))), "text": texts}))
     rows = con.execute(
-        f"SELECT len(regexp_extract_all(text, '{entry._TOKEN_PAT_SQL}')) "
+        f"SELECT len(regexp_extract_all(text, '{_TOKEN_PAT_SQL}')) "
         "FROM t ORDER BY i"
     ).fetchall()
     return [n for (n,) in rows]

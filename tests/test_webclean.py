@@ -102,22 +102,25 @@ class TestC4StatsBatch:
 
 class TestRayLane:
     def test_canonical_dedup_collapses_variants(self, ray_session):
-        import __ray_entry__ as E
+        from pdf_extractor_ray.gate.weburl import (
+            _q_url_canonical,
+            _q_url_canonical_dedup,
+        )
 
-        out = E._q_url_canonical_dedup(SF).to_pandas()
+        out = _q_url_canonical_dedup(SF).to_pandas()
         # 5 messy variants per shared path; every canonical url is clean
         assert (out["dup_count"] >= 1).all()
         assert not out["canon_url"].str.contains("utm_|fbclid|#|:443|:80").any()
         assert out["canon_url"].str.startswith(("http://", "https://")).all()
         # keep_doc_id is the min doc over the group: variant-0 docs exist
-        raw = E._q_url_canonical(SF).to_pandas()
+        raw = _q_url_canonical(SF).to_pandas()
         assert set(out["canon_url"]) == set(raw["canon_url"])
         assert int(out["dup_count"].sum()) == len(raw)
 
     def test_c4_stats_runs(self, ray_session):
-        import __ray_entry__ as E
+        from pdf_extractor_ray.gate.quality import _q_c4_filters
 
-        out = E._q_c4_filters(SF).to_pandas()
+        out = _q_c4_filters(SF).to_pandas()
         assert len(out) > 0
         assert (out["n_kept"] <= out["n_lines"]).all()
 

@@ -36,9 +36,9 @@ def _canon(df: pd.DataFrame) -> pd.DataFrame:
 
 
 def _urls_ds(ray):
-    import __ray_entry__ as E
+    from pdf_extractor_ray.gate.fixtures import _docs_with_urls
 
-    return E._docs_with_urls(SF)
+    return _docs_with_urls(SF)
 
 
 class TestHostExtraction:
@@ -215,8 +215,9 @@ class TestNormalize:
 
     def test_golden_vs_duckdb(self, ray_session):
         import __ray_entry__ as E
+        from pdf_extractor_ray.gate.text import _q_normalize_text
 
-        got = _canon(E._q_normalize_text(SF).to_pandas())
+        got = _canon(_q_normalize_text(SF).to_pandas())
         want = _canon(_duck().execute(E.oracle_sql()["normalize_text"]).df())
         pd.testing.assert_frame_equal(got, want)
 
