@@ -12,7 +12,12 @@ import ray.data
 
 from pdf_extractor_ray.functions.exchange import cogroup
 from pdf_extractor_ray.gate import register
-from pdf_extractor_ray.gate.fixtures import _t, _docs_with_dups, _DUP_SQL
+from pdf_extractor_ray.gate.fixtures import (
+    _DUP_SQL,
+    _benchmark_docs,
+    _docs_with_dups,
+    _t,
+)
 
 
 def _strip_spans_min_sql(thr: int) -> str:
@@ -1245,14 +1250,7 @@ def _q_decontaminate(sf_dir: str):
     from pdf_extractor_ray.functions.decontaminate import contamination_flags
 
     corpus = _docs_with_dups(sf_dir)
-
-    def bench_only(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        return batch.filter(pa.array(ids < 20))
-
-    benchmark = ray.data.read_parquet(
-        _t(sf_dir, "documents"), columns=["doc_id", "text"]
-    ).map_batches(bench_only, batch_format="pyarrow")
+    benchmark = _benchmark_docs(sf_dir)
     return contamination_flags(corpus, benchmark, n=8)
 
 
@@ -1318,14 +1316,7 @@ def _q_decontaminate_strip(sf_dir: str):
     )
 
     corpus = _docs_with_dups(sf_dir)
-
-    def bench_only(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        return batch.filter(pa.array(ids < 20))
-
-    benchmark = ray.data.read_parquet(
-        _t(sf_dir, "documents"), columns=["doc_id", "text"]
-    ).map_batches(bench_only, batch_format="pyarrow")
+    benchmark = _benchmark_docs(sf_dir)
     out = strip_contaminated_spans(corpus, benchmark, n=8)
 
     def roll(batch: pa.Table) -> pa.Table:

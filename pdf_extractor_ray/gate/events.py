@@ -16,7 +16,7 @@ from pdf_extractor_ray.functions.common import (
 )
 from pdf_extractor_ray.functions.exchange import cogroup
 from pdf_extractor_ray.gate import register
-from pdf_extractor_ray.gate.fixtures import _t, _cents
+from pdf_extractor_ray.gate.fixtures import _cents, _t
 
 
 _RANGE_BAND_SQL = """

@@ -36,6 +36,19 @@ def _docs_with_dups(sf_dir: str) -> ray.data.Dataset:
     return docs.union(docs.map_batches(dup_rows, batch_format="pyarrow"))
 
 
+def _benchmark_docs(sf_dir: str) -> ray.data.Dataset:
+    """The stand-in evaluation benchmark of the decontamination and
+    pretrain-chain queries: documents with doc_id < 20."""
+
+    def bench_only(batch: pa.Table) -> pa.Table:
+        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
+        return batch.filter(pa.array(ids < 20))
+
+    return ray.data.read_parquet(
+        _t(sf_dir, "documents"), columns=["doc_id", "text"]
+    ).map_batches(bench_only, batch_format="pyarrow")
+
+
 _DUP_SQL = (
     "SELECT doc_id, text FROM documents "
     "UNION ALL "

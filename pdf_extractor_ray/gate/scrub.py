@@ -69,11 +69,6 @@ _PII_CARDS_SQL = (
 )
 
 
-# One row per JSON-LD entity, replayed from the deterministic
-# wrapper rule (_ldjson_pages): Article always at ent_idx 0;
-# @graph pair at 1/2 when d%3=0; breadcrumb (d%9=0 implies
-# d%3=0) therefore always at idx 3; the d%7=0 invalid block
-# parses to nothing but bumps n_bad on every row of its page.
 # L/M = decimal widths of doc_id and doc_id%256; offsets are
 # CODEPOINTS (the 'café' before the IP shifts bytes, not cps).
 @register("pii_spans", oracle="""
@@ -361,6 +356,25 @@ def _q_pii_redact(sf_dir: str):
     )
 
 
+def _docs_with_footer(sf_dir: str) -> ray.data.Dataset:
+    """documents with one shared footer paragraph appended to every 4th
+    doc: the boilerplate the paragraph inventory must find."""
+    docs = ray.data.read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "text"])
+
+    def with_footer(batch: pa.Table) -> pa.Table:
+        rows = []
+        for doc_id, text in zip(
+            batch["doc_id"].to_pylist(), batch["text"].to_pylist()
+        ):
+            body = text
+            if doc_id % 4 == 0:
+                body += "\n\nStandard footer boilerplate text for the corpus"
+            rows.append({"doc_id": doc_id, "text": body})
+        return pa.Table.from_pylist(rows)
+
+    return docs.map_batches(with_footer, batch_format="pyarrow")
+
+
 @register("paragraph_dedup", oracle="""
             WITH built AS (
               SELECT doc_id,
@@ -386,22 +400,7 @@ def _q_paragraph_dedup(sf_dir: str):
     the operator finds exactly that hash with its document count."""
     from pdf_extractor_ray.functions.scrub import paragraph_hash_counts
 
-    docs = ray.data.read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "text"])
-
-    def with_footer(batch: pa.Table) -> pa.Table:
-        rows = []
-        for doc_id, text in zip(
-            batch["doc_id"].to_pylist(), batch["text"].to_pylist()
-        ):
-            body = text
-            if doc_id % 4 == 0:
-                body += "\n\nStandard footer boilerplate text for the corpus"
-            rows.append({"doc_id": doc_id, "text": body})
-        return pa.Table.from_pylist(rows)
-
-    return paragraph_hash_counts(
-        docs.map_batches(with_footer, batch_format="pyarrow"), min_count=2
-    )
+    return paragraph_hash_counts(_docs_with_footer(sf_dir), min_count=2)
 
 
 @register("strip_boilerplate", oracle="""
@@ -430,26 +429,12 @@ def _q_strip_boilerplate(sf_dir: str):
         strip_boilerplate,
     )
 
-    def with_footer(batch: pa.Table) -> pa.Table:
-        rows = []
-        for doc_id, text in zip(
-            batch["doc_id"].to_pylist(), batch["text"].to_pylist()
-        ):
-            body = text
-            if doc_id % 4 == 0:
-                body += "\n\nStandard footer boilerplate text for the corpus"
-            rows.append({"doc_id": doc_id, "text": body})
-        return pa.Table.from_pylist(rows)
-
-    def built():
-        return ray.data.read_parquet(
-            _t(sf_dir, "documents"), columns=["doc_id", "text"]
-        ).map_batches(with_footer, batch_format="pyarrow")
-
     # max_inventory exercises the bounded-broadcast path at the gate
     # (10k never binds at sf scale, so the oracle is unchanged)
-    inv = paragraph_hash_counts(built(), min_count=2, max_inventory=10_000)
-    cleaned = strip_boilerplate(built(), inv)
+    inv = paragraph_hash_counts(
+        _docs_with_footer(sf_dir), min_count=2, max_inventory=10_000
+    )
+    cleaned = strip_boilerplate(_docs_with_footer(sf_dir), inv)
 
     def finish(batch: pa.Table) -> pa.Table:
         import hashlib

@@ -10,7 +10,7 @@ import ray.data
 from ray.data.aggregate import Count, Sum
 
 from pdf_extractor_ray.gate import register
-from pdf_extractor_ray.gate.fixtures import _t, _load_query_vectors
+from pdf_extractor_ray.gate.fixtures import _load_query_vectors, _t
 
 
 def _bm25_ndcg_sql() -> str:

@@ -12,7 +12,7 @@ from ray.data.aggregate import Sum
 from pdf_extractor_ray.functions.common import sized_read_parquet as _rp
 from pdf_extractor_ray.functions.exchange import cogroup
 from pdf_extractor_ray.gate import register
-from pdf_extractor_ray.gate.fixtures import _t, _cents
+from pdf_extractor_ray.gate.fixtures import _cents, _t
 
 
 @register("q1_pricing", bench=True, oracle="""

@@ -20,11 +20,12 @@ from pdf_extractor_ray.functions.common import (
 from pdf_extractor_ray.functions.exchange import cogroup, exchange_width
 from pdf_extractor_ray.gate import register
 from pdf_extractor_ray.gate.fixtures import (
-    _t,
-    _docs_with_dups,
     _DUP_SQL,
-    _docs_with_urls,
     _TOKEN_PAT_SQL,
+    _benchmark_docs,
+    _docs_with_dups,
+    _docs_with_urls,
+    _t,
 )
 
 
@@ -1108,15 +1109,7 @@ def _q_pretrain_corpus_bpe(sf_dir: str):
     from pdf_extractor_ray.functions.tokenizer import encode_corpus
 
     corpus = _pretrain_input(sf_dir)
-
-    def bench_only(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        return batch.filter(pa.array(ids < 20))
-
-    benchmark = ray.data.read_parquet(
-        _t(sf_dir, "documents"), columns=["doc_id", "text"]
-    ).map_batches(bench_only, batch_format="pyarrow")
-
+    benchmark = _benchmark_docs(sf_dir)
     out_dir = os.path.join(
         "/tmp/graft_pretrain_bpe", os.path.basename(sf_dir.rstrip("/"))
     )
@@ -1396,15 +1389,7 @@ def _q_pretrain_corpus(sf_dir: str):
     from pdf_extractor_ray.functions.pretrain import pretrain_corpus_chain
 
     corpus = _pretrain_input(sf_dir)
-
-    def bench_only(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        return batch.filter(pa.array(ids < 20))
-
-    benchmark = ray.data.read_parquet(
-        _t(sf_dir, "documents"), columns=["doc_id", "text"]
-    ).map_batches(bench_only, batch_format="pyarrow")
-
+    benchmark = _benchmark_docs(sf_dir)
     out_dir = os.path.join(
         "/tmp/graft_pretrain", os.path.basename(sf_dir.rstrip("/"))
     )

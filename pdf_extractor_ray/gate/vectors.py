@@ -14,7 +14,7 @@ from ray.data.aggregate import Count
 
 from pdf_extractor_ray.functions.common import coalesce_for_exchange
 from pdf_extractor_ray.gate import register
-from pdf_extractor_ray.gate.fixtures import _t, _load_query_vectors
+from pdf_extractor_ray.gate.fixtures import _load_query_vectors, _t
 
 
 def _kcenter_sql(k: int) -> str:

@@ -511,6 +511,11 @@ def _ldjson_pages(sf_dir: str) -> ray.data.Dataset:
     return _html_pages(sf_dir, page)
 
 
+# One row per JSON-LD entity, replayed from the deterministic
+# wrapper rule (_ldjson_pages): Article always at ent_idx 0;
+# @graph pair at 1/2 when d%3=0; breadcrumb (d%9=0 implies
+# d%3=0) therefore always at idx 3; the d%7=0 invalid block
+# parses to nothing but bumps n_bad on every row of its page.
 @register("json_ld", oracle="""
             WITH u AS (
                 SELECT doc_id,
